@@ -1,8 +1,9 @@
-"""Exact integer matrix algebra: Hermite forms, kernels, saturation.
+"""Exact integer matrix algebra: Hermite forms, kernels, saturation, rank.
 
 Matrices are numpy arrays with ``dtype=object`` holding Python ints, so all
 arithmetic is arbitrary precision.  Normal-form intermediates grow quickly
 even for small matrices, which rules out fixed-width integer dtypes.
+``rank`` needs no transform and also takes plain sequences of int rows.
 """
 
 from __future__ import annotations
@@ -117,13 +118,44 @@ def hermite(M: np.ndarray) -> np.ndarray:
     return hnf(M)[0]
 
 
-def rank(M: np.ndarray) -> int:
-    """Rank over the rationals: nonzero rows of the Hermite form."""
-    H, _ = hnf(M)
+def rank(M) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination.
+
+    Accepts a 2-d object array or any sequence of integer rows.  No
+    transform is built: every entry after a pivot step is a minor of the
+    input, so each division by the previous pivot is exact and the rows
+    stay Python ints of bounded size.  Each step eliminates the leading
+    column and drops it, together with rows that become zero; a matrix with
+    more rows than columns is transposed first, so fewer rows are rebuilt.
+    """
+    rows = [row for row in (list(map(int, row)) for row in M) if any(row)]
+    if rows and len(rows) > len(rows[0]):
+        rows = [row for row in map(list, zip(*rows)) if any(row)]
     r = 0
-    for i in range(H.shape[0]):
-        if any(x != 0 for x in H[i]):
-            r += 1
+    prev = 1
+    while rows:
+        for top in rows:
+            if top[0]:
+                break
+        else:
+            rows = [row[1:] for row in rows]
+            continue
+        rows.remove(top)
+        p, tail = top[0], top[1:]
+        reduced = []
+        for row in rows:
+            a = row[0]
+            if a:
+                row = [(p * x - a * y) // prev for x, y in zip(row[1:], tail)]
+            elif p != prev:
+                row = [p * x // prev for x in row[1:]]
+            else:
+                row = row[1:]
+            if any(row):
+                reduced.append(row)
+        rows = reduced
+        prev = p
+        r += 1
     return r
 
 

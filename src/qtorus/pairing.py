@@ -9,6 +9,7 @@ form modulo the torsion order.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,17 @@ from .valuegroup import GroupElement, ValueGroup, ValueGroupError, embed, merge
 
 class PairingError(ValueError):
     pass
+
+
+# Elements are immutable, so equal ones can be one object.  Matrices built
+# by ``MultiparameterMatrix.from_upper`` and ``tensor`` draw their entries
+# from this pool; an element leaves it once no matrix refers to it.
+_POOL: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared(e: GroupElement) -> GroupElement:
+    """The pooled element equal to ``e``; ``e`` itself joins the pool if new."""
+    return _POOL.setdefault((e.group, e.free, e.torsion), e)
 
 
 @dataclass(frozen=True)
@@ -54,13 +66,13 @@ class MultiparameterMatrix:
         rank: int, value_group: ValueGroup, upper: dict[tuple[int, int], GroupElement]
     ) -> "MultiparameterMatrix":
         """Build from entries given only for i < j (1-based); the rest follows."""
-        ident = value_group.identity()
+        ident = _shared(value_group.identity())
         grid = [[ident for _ in range(rank)] for _ in range(rank)]
         for (i, j), e in upper.items():
             if not (1 <= i < j <= rank):
                 raise PairingError(f"upper entry index ({i},{j}) out of range")
-            grid[i - 1][j - 1] = e
-            grid[j - 1][i - 1] = -e
+            grid[i - 1][j - 1] = _shared(e)
+            grid[j - 1][i - 1] = _shared(-e)
         return MultiparameterMatrix(rank, value_group, tuple(tuple(r) for r in grid))
 
     def entry(self, i: int, j: int) -> GroupElement:
@@ -92,14 +104,14 @@ def tensor(
     except ValueGroupError as exc:
         raise PairingError(str(exc)) from exc
     n1, n2 = m1.rank, m2.rank
-    ident = group.identity()
+    ident = _shared(group.identity())
     grid = [[ident for _ in range(n1 + n2)] for _ in range(n1 + n2)]
     for i in range(n1):
         for j in range(n1):
-            grid[i][j] = embed(m1.entries[i][j], group, emb1)
+            grid[i][j] = _shared(embed(m1.entries[i][j], group, emb1))
     for i in range(n2):
         for j in range(n2):
-            grid[n1 + i][n1 + j] = embed(m2.entries[i][j], group, emb2)
+            grid[n1 + i][n1 + j] = _shared(embed(m2.entries[i][j], group, emb2))
     return MultiparameterMatrix(n1 + n2, group, tuple(tuple(r) for r in grid))
 
 

@@ -120,7 +120,7 @@ def _span_basis(forms: list[np.ndarray], n: int) -> list[np.ndarray]:
             kept.append(M)
             coords.append(c)
             continue
-        if rank(intmat(coords + [c])) > len(kept):
+        if rank(coords + [c]) > len(kept):
             kept.append(M)
             coords.append(c)
     return kept
@@ -242,8 +242,7 @@ def _wedge_upper(forms: list[np.ndarray], n: int) -> int:
     """
     if not forms:
         return n
-    coords = intmat([_form_coords(M, n) for M in forms])
-    free_dim = n * (n - 1) // 2 - rank(coords)
+    free_dim = n * (n - 1) // 2 - rank([_form_coords(M, n) for M in forms])
     g = n
     while g > 1 and g * (g - 1) // 2 > free_dim:
         g -= 1
@@ -254,13 +253,16 @@ def _wedge_upper(forms: list[np.ndarray], n: int) -> int:
 # lower-bound search
 
 
-def _orthogonal_complement(v, forms: list[np.ndarray], n: int) -> np.ndarray:
-    """Saturated basis of the vectors pairing trivially with v (contains v)."""
-    rows = zeros(len(forms), n)
-    vv = intmat([list(v)])
-    for idx, M in enumerate(forms):
-        rows[idx] = (vv @ M)[0]
-    K, _ = kernel_with_complement(rows)
+def _orthogonal_complement(rows: list[list[int]], n: int) -> np.ndarray:
+    """Saturated basis of the vectors orthogonal to every row.
+
+    For the rows v M_1, ..., v M_k these are the vectors pairing trivially
+    with v under every form, v among them.
+    """
+    M = zeros(len(rows), n)
+    for idx, row in enumerate(rows):
+        M[idx] = row
+    K, _ = kernel_with_complement(M)
     return K
 
 
@@ -329,13 +331,28 @@ _CHUNK = 128
 
 
 def _candidate_stream(forms: list[np.ndarray], n: int, opts: SolverOptions):
-    """Structured seeds first, then boxed enumeration, in orth-rank-sorted chunks.
+    """Structured seeds first, then boxed enumeration, in dimension-sorted chunks.
 
-    Candidates whose orthogonal complement is larger are tried first; ties
-    keep the enumeration order.  Sorting happens per chunk so the stream
-    stays lazy and deterministic.
+    Yields ``(v, rows, dim)``: ``rows`` are v M_1, ..., v M_k as lists of
+    ints, and ``dim = n - rank(rows)`` is the rank of v's orthogonal
+    complement.  Candidates with the larger complement come first; ties keep
+    the enumeration order.  Only the dimension is computed here: the caller
+    builds the complement from the same rows, and only for a branch it
+    takes.  Sorting happens per chunk so the stream stays lazy and
+    deterministic.
     """
     seen: set[tuple[int, ...]] = set()
+    k = len(forms)
+    # Row i of every form, concatenated: v M_1, ..., v M_k is then one
+    # combination of the rows of ``stacked`` over the nonzero entries of v.
+    stacked = [[int(x) for M in forms for x in M[i]] for i in range(n)]
+
+    def pairing_rows(v) -> list[list[int]]:
+        acc = [0] * (k * n)
+        for i, c in enumerate(v):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, stacked[i])]
+        return [acc[l * n : (l + 1) * n] for l in range(k)]
 
     def ranked(vs):
         scored = []
@@ -343,10 +360,10 @@ def _candidate_stream(forms: list[np.ndarray], n: int, opts: SolverOptions):
             if v in seen:
                 continue
             seen.add(v)
-            comp = _orthogonal_complement(v, forms, n)
-            scored.append((-comp.shape[0], v, comp))
-        scored.sort(key=lambda t: t[0])
-        return [(v, comp) for _, v, comp in scored]
+            rows = pairing_rows(v)
+            scored.append((v, rows, n - rank(rows)))
+        scored.sort(key=lambda t: -t[2])
+        return scored
 
     yield from ranked(_structured_candidates(forms, n))
     chunk: list[tuple[int, ...]] = []
@@ -373,9 +390,12 @@ class _Searcher:
     Every maximal isotropic sublattice contains the common kernel of the
     forms, so each level strips that kernel, restricts to a complement, and
     branches on the first vector of the remaining witness; the chosen
-    vector's orthogonal complement becomes the next level's lattice.  All
-    coordinates are exact, so witnesses survive unbounded entry growth even
-    though each level only enumerates small coordinate vectors.
+    vector's orthogonal complement becomes the next level's lattice.
+    Candidates arrive ranked by complement dimension alone, and a
+    complement basis is built only for a branch that can still beat the
+    best rank found.  All coordinates are exact, so witnesses survive
+    unbounded entry growth even though each level only enumerates small
+    coordinate vectors.
     """
 
     def __init__(self, opts: SolverOptions, budget: _Budget):
@@ -412,15 +432,18 @@ class _Searcher:
             return result
         best_rank, best_rows = r0, K
         complete = True
-        for v, comp in _candidate_stream(qforms, mq, self.opts):
+        for _, vrows, dim in _candidate_stream(qforms, mq, self.opts):
             if best_rank >= target:
                 complete = False
                 break
             if not self.budget.tick():
                 complete = False
                 break
-            if r0 + comp.shape[0] <= best_rank:
+            if r0 + dim <= best_rank:
                 continue
+            comp = _orthogonal_complement(vrows, mq)
+            if comp.shape[0] != dim:
+                raise AssertionError("complement rank differs from its ranked dimension")
             sforms = [np.ascontiguousarray(comp @ M @ comp.T) for M in qforms]
             sub_rank, sub_rows, sub_complete = self._solve(
                 sforms, comp.shape[0], target - r0

@@ -85,13 +85,13 @@ def test_criterion_01_independent_parameters():
 
 def test_criterion_02_extremal_tensor():
     ok = True
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         lam, lam_t = gen_transpose_pair(n)
         start = time.monotonic()
         res = dimension(tensor(lam, lam_t, "shared"))
         elapsed = time.monotonic() - start
         ok = ok and res.exact and res.lower == n
-        if n == 4:
+        if n >= 4:
             ok = ok and elapsed < 10.0
         # a commutative rank-n witness containing every diagonal vector
         diag = diagonal_sublattice(n)
@@ -106,7 +106,7 @@ def test_criterion_02_extremal_tensor():
         ok = ok and res.lower == min(d_i + n, d_i + n) - 1
         if n >= 3:
             ok = ok and all(res.witness.contains(r) for r in diag.rows)
-    announce(2, ok, "transpose-pair tensor has exact dimension n with diagonal witness (n = 2..4)")
+    announce(2, ok, "transpose-pair tensor has exact dimension n with diagonal witness (n = 2..5)")
 
 
 def test_criterion_03_superadditivity_campaign(campaign_report):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,52 @@ def test_rank_examples():
     assert rank(zeros(3, 3)) == 0
     assert rank(intmat([[2, 4], [1, 2]])) == 1
     assert rank(intmat([[0, 1], [-1, 0]])) == 2
+    assert rank([]) == 0
+    assert rank([[]]) == 0
+    assert rank(zeros(0, 3)) == 0
+    assert rank(zeros(3, 0)) == 0
+    assert rank([[0, 0], [2**70, 0], [0, 0]]) == 1
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over Fraction, independent of lattice.rank."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(r + 1, len(work)):
+            f = work[i][col] / work[r][col]
+            work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
+# Entries beyond int64 next to small ones and zeros; extra rows are integer
+# combinations of the first ones, so rank-deficient inputs are common.
+entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**90), 2**90))
+rank_inputs = st.integers(0, 5).flatmap(
+    lambda c: st.tuples(
+        st.lists(st.lists(entries, min_size=c, max_size=c), max_size=4),
+        st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=3),
+    )
+)
+
+
+@given(rank_inputs)
+@settings(max_examples=200, deadline=None)
+def test_rank_matches_fraction_elimination(args):
+    base, combos = args
+    rows = [list(row) for row in base]
+    if base:
+        for coeffs in combos:
+            rows.append([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*base)])
+    expected = fraction_rank(rows)
+    assert rank(rows) == expected
+    assert rank(tuple(tuple(row) for row in rows)) == expected
+    assert rank(intmat(rows)) == expected
 
 
 def test_kernel_zero_matrix():

@@ -16,6 +16,8 @@ from qtorus.solver import (
     InexactDimensionError,
     ResourceLimitError,
     SolverOptions,
+    _candidate_stream,
+    _orthogonal_complement,
     brute_force_dimension,
     codimension,
     dimension,
@@ -199,6 +201,87 @@ def test_dimension_invariant_under_finite_index():
         res = dimension(restrict_matrix(mat, sub))
         if res.exact:
             assert res.lower == base.lower
+
+
+# Answers of the search on fixed inputs.  The order in which candidates are
+# ranked and tried decides every witness, so any change to it shows here.
+GOLDEN = {
+    ("shared", 2): {"lower": 2, "upper": 2, "exact": True, "witness": [[0, 1, 0, 0], [0, 0, 0, 1]]},
+    ("shared", 3): {
+        "lower": 3,
+        "upper": 3,
+        "exact": True,
+        "witness": [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]],
+    },
+    ("shared", 4): {
+        "lower": 4,
+        "upper": 4,
+        "exact": True,
+        "witness": [[1 if j % 4 == i else 0 for j in range(8)] for i in range(4)],
+    },
+    ("shared", 5): {
+        "lower": 5,
+        "upper": 5,
+        "exact": True,
+        "witness": [[1 if j % 5 == i else 0 for j in range(10)] for i in range(5)],
+    },
+    ("disjoint", 3): {
+        "lower": 2,
+        "upper": 3,
+        "exact": False,
+        "witness": [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]],
+    },
+    ("random", 5, 1): {
+        "lower": 2,
+        "upper": 3,
+        "exact": False,
+        "witness": [[2, 3, 48, 58, 1], [0, 4, 48, 59, 1]],
+    },
+    ("random", 5, 2): {
+        "lower": 2,
+        "upper": 3,
+        "exact": False,
+        "witness": [[1, 57, -36, 40, 57], [0, 289, -178, 204, 289]],
+    },
+    ("random", 6, 3): {
+        "lower": 2,
+        "upper": 3,
+        "exact": False,
+        "witness": [[2, 2, 4, 6, 0, -1], [0, 2091, -23837, 5854, -1, 12964]],
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_dimension_golden_answers(case):
+    if case[0] == "random":
+        _, n, seed = case
+        mat = gen_random(n, 3, seed=seed)
+    else:
+        mode, n = case
+        lam, lam_t = gen_transpose_pair(n)
+        mat = tensor(lam, lam_t, mode)
+    # node budget only: the wall clock must not decide a pinned answer
+    assert dimension(mat, SolverOptions(time_budget=1e6)).to_json() == GOLDEN[case]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_candidate_stream_scores_complement_dimension(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 5)
+    forms = [
+        alternating(n, [rng.randint(-2, 2) for _ in range(n * (n - 1) // 2)])
+        for _ in range(rng.randint(2, 3))
+    ]
+    dims = []
+    for v, rows, dim in _candidate_stream(forms, n, SolverOptions(search_bound=1)):
+        vv = intmat([list(v)])
+        assert rows == [list((vv @ M)[0]) for M in forms]
+        comp = _orthogonal_complement(rows, n)
+        assert dim == comp.shape[0]
+        assert all(x == 0 for x in (comp @ intmat(rows).T).flat)
+        dims.append(dim)
+    assert dims
 
 
 # ---------------------------------------------------------------------------
