@@ -15,7 +15,7 @@ group = ValueGroup(("q",), torsion_order=1)
 bq = MultiparameterMatrix.from_upper(2, group, {(1, 2): group.generator("q")})
 
 pairing = pairing_of(bq)
-print("pairing matrix for q: ", pairing.free_forms[0].tolist())
+print("pairing matrix for q: ", [list(row) for row in pairing.free_forms[0]])
 print("[X, Y] exponent:      ", pairing.commutator([1, 0], [0, 1]).free)
 print("[X^2, Y] exponent:    ", pairing.commutator([2, 0], [0, 1]).free)
 

@@ -153,10 +153,6 @@ class TwistedElement:
         return " + ".join(parts)
 
 
-def multiply(alpha: TwistedElement, beta: TwistedElement) -> TwistedElement:
-    return alpha * beta
-
-
 def support(alpha: TwistedElement) -> set[tuple[int, ...]]:
     """Lattice exponents carrying at least one stored term."""
     return {a for (a, _, _) in alpha.terms}

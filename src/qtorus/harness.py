@@ -18,7 +18,6 @@ from .lattice import Sublattice
 from .pairing import (
     MultiparameterMatrix,
     center_is_trivial,
-    is_commutative,
     pairing_of,
     tensor,
     transpose,
@@ -130,12 +129,7 @@ def diagonal_sublattice(n: int) -> Sublattice:
 
 
 class PairAnalysis:
-    """Dimensions of two factors and their tensor product, computed once.
-
-    The tensor's certified lower bound is strengthened by the concatenated
-    factor witnesses, which always span a commutative sublattice of the
-    product because cross-block commutators vanish.
-    """
+    """Dimensions of two factors and their tensor product, computed once."""
 
     def __init__(
         self,
@@ -151,21 +145,6 @@ class PairAnalysis:
         self.d2 = dimension(lam2, self.opts)
         self.product = tensor(lam1, lam2, mode)
         self.dt = dimension(self.product, self.opts)
-        self.tensor_lower = self.dt.lower
-        concat = self._concatenated_witness()
-        if concat is not None and concat.rank > self.tensor_lower:
-            self.tensor_lower = concat.rank
-
-    def _concatenated_witness(self) -> Sublattice | None:
-        n1, n = self.r1, self.r1 + self.r2
-        rows = [list(r) + [0] * self.r2 for r in self.d1.witness.rows]
-        rows += [[0] * n1 + list(r) for r in self.d2.witness.rows]
-        if not rows:
-            return None
-        cand = Sublattice.span(n, rows)
-        if not is_commutative(pairing_of(self.product), cand):
-            raise AssertionError("concatenated witnesses failed to commute in the product")
-        return cand
 
     def factors_exact(self) -> bool:
         return self.d1.exact and self.d2.exact
@@ -177,7 +156,6 @@ class PairAnalysis:
             "dim1": self.d1.to_json(),
             "dim2": self.d2.to_json(),
             "tensor": self.dt.to_json(),
-            "tensor_lower_with_witnesses": self.tensor_lower,
         }
 
     def violation_payload(self) -> dict:
@@ -207,7 +185,7 @@ def check_superadditivity(lam1, lam2, opts=None, analysis=None) -> Verdict:
     if not a.factors_exact():
         return _verdict("Superadditivity", True, INCONCLUSIVE, a)
     target = a.d1.lower + a.d2.lower
-    if a.tensor_lower >= target:
+    if a.dt.lower >= target:
         return _verdict("Superadditivity", True, HOLDS, a, {"target": target})
     if a.dt.upper < target:
         return _verdict("Superadditivity", True, VIOLATED, a, {"target": target})
@@ -229,7 +207,7 @@ def check_upper_bound(lam1, lam2, opts=None, analysis=None) -> Verdict:
     extra = {"rhs": rhs, "bound": bound}
     if a.dt.upper <= bound:
         return _verdict(statement, met, HOLDS, a, extra)
-    if a.tensor_lower > bound:
+    if a.dt.lower > bound:
         return _verdict(statement, met, VIOLATED, a, extra)
     return _verdict(statement, met, INCONCLUSIVE, a, extra)
 
@@ -257,7 +235,7 @@ def check_strict(lam1, lam2, opts=None, analysis=None) -> Verdict:
     extra = {"rhs": rhs, "strict_bound": rhs - 1}
     if a.dt.upper <= rhs - 2:
         return _verdict("StrictUpperBound", True, HOLDS, a, extra)
-    if a.tensor_lower >= rhs - 1:
+    if a.dt.lower >= rhs - 1:
         return _verdict("StrictUpperBound", True, VIOLATED, a, extra)
     return _verdict("StrictUpperBound", True, INCONCLUSIVE, a, extra)
 
@@ -294,9 +272,9 @@ def check_additivity(lam1, lam2, opts=None, analysis=None) -> Verdict:
         )
     target = d1 + d2
     extra = {"target": target}
-    if a.tensor_lower >= target and a.dt.upper <= target:
+    if a.dt.lower >= target and a.dt.upper <= target:
         return _verdict(statement, True, HOLDS, a, extra)
-    if a.dt.upper < target or a.tensor_lower > target:
+    if a.dt.upper < target or a.dt.lower > target:
         return _verdict(statement, True, VIOLATED, a, extra)
     return _verdict(statement, True, INCONCLUSIVE, a, extra)
 

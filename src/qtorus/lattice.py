@@ -1,51 +1,33 @@
 """Exact integer matrix algebra: Hermite forms, kernels, saturation, rank.
 
-Matrices are numpy arrays with ``dtype=object`` holding Python ints, so all
-arithmetic is arbitrary precision.  Normal-form intermediates grow quickly
-even for small matrices, which rules out fixed-width integer dtypes.
-``rank`` needs no transform and also takes plain sequences of int rows.
+A matrix is a sequence of rows of Python ints, so all arithmetic is
+arbitrary precision.  Normal-form intermediates grow quickly even for small
+matrices, which rules out fixed-width integer types.  Functions accept any
+sequence of integer rows.  ``hnf`` and the kernel split return lists of int
+lists; products, and everything stored or hashed (``Sublattice.rows``, the
+forms of a pairing), are tuples of int tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-
-import numpy as np
-
-
-def intmat(rows) -> np.ndarray:
-    """Build a 2-d object array of Python ints from a nested sequence."""
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2:
-            raise ValueError("expected a 2-d matrix")
-        out = np.empty(rows.shape, dtype=object)
-        for i in range(rows.shape[0]):
-            for j in range(rows.shape[1]):
-                out[i, j] = int(rows[i, j])
-        return out
-    data = [list(r) for r in rows]
-    ncols = len(data[0]) if data else 0
-    if any(len(r) != ncols for r in data):
-        raise ValueError("ragged rows in matrix input")
-    out = np.empty((len(data), ncols), dtype=object)
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            out[i, j] = int(x)
-    return out
+from operator import mul
 
 
-def zeros(r: int, c: int) -> np.ndarray:
-    out = np.empty((r, c), dtype=object)
-    out[:] = 0
-    return out
+def identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def identity(n: int) -> np.ndarray:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+def matmul(A, B) -> tuple[tuple[int, ...], ...]:
+    """Exact product A·B; A without rows gives the empty matrix."""
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
+
+
+def congruence(C, M) -> tuple[tuple[int, ...], ...]:
+    """C·M·Cᵀ: the bilinear form M in the coordinates given by the rows of C."""
+    return matmul(matmul(C, M), tuple(zip(*C)))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -63,66 +45,63 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def hnf(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mix(A: list[list[int]], i: int, j: int, x: int, y: int, c: int, d: int) -> None:
+    """Replace rows i and j of A by x*A[i] + y*A[j] and c*A[i] + d*A[j]."""
+    ri, rj = A[i], A[j]
+    A[i] = [x * s + y * t for s, t in zip(ri, rj)]
+    A[j] = [c * s + d * t for s, t in zip(ri, rj)]
+
+
+def hnf(M) -> tuple[list[list[int]], list[list[int]]]:
     """Row Hermite normal form with transform.
 
-    Returns (H, U) with U unimodular, U @ M == H, pivots positive and every
+    Returns (H, U) with U unimodular, U·M == H, pivots positive and every
     entry above a pivot reduced into [0, pivot).  Zero rows sink to the
     bottom.  The algorithm is deterministic, so H and U are reproducible.
     """
-    H = intmat(M)
-    nrows, ncols = H.shape
+    H = [[int(x) for x in row] for row in M]
+    nrows = len(H)
+    ncols = len(H[0]) if H else 0
+    if any(len(row) != ncols for row in H):
+        raise ValueError("ragged rows in matrix input")
     U = identity(nrows)
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
         # Move a nonzero entry into the pivot position.
-        piv = None
-        for i in range(row, nrows):
-            if H[i, col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(row, nrows) if H[i][col]), None)
         if piv is None:
             continue
         if piv != row:
-            H[[row, piv]] = H[[piv, row]]
-            U[[row, piv]] = U[[piv, row]]
+            H[row], H[piv] = H[piv], H[row]
+            U[row], U[piv] = U[piv], U[row]
         # Clear below the pivot with 2x2 unimodular transforms.
         for i in range(row + 1, nrows):
-            if H[i, col] == 0:
+            if H[i][col] == 0:
                 continue
-            a, b = int(H[row, col]), int(H[i, col])
+            a, b = H[row][col], H[i][col]
             g, x, y = _xgcd(a, b)
-            r0 = x * H[row] + y * H[i]
-            r1 = (-b // g) * H[row] + (a // g) * H[i]
-            H[row], H[i] = r0, r1
-            u0 = x * U[row] + y * U[i]
-            u1 = (-b // g) * U[row] + (a // g) * U[i]
-            U[row], U[i] = u0, u1
-        if H[row, col] < 0:
-            H[row] = -H[row]
-            U[row] = -U[row]
+            _mix(H, row, i, x, y, -b // g, a // g)
+            _mix(U, row, i, x, y, -b // g, a // g)
+        if H[row][col] < 0:
+            H[row] = [-s for s in H[row]]
+            U[row] = [-s for s in U[row]]
         # Reduce entries above the pivot into [0, pivot).
-        p = int(H[row, col])
+        p = H[row][col]
         for i in range(row):
-            q = H[i, col] // p
+            q = H[i][col] // p
             if q:
-                H[i] = H[i] - q * H[row]
-                U[i] = U[i] - q * U[row]
+                H[i] = [s - q * t for s, t in zip(H[i], H[row])]
+                U[i] = [s - q * t for s, t in zip(U[i], U[row])]
         row += 1
     return H, U
-
-
-def hermite(M: np.ndarray) -> np.ndarray:
-    return hnf(M)[0]
 
 
 def rank(M) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
-    Accepts a 2-d object array or any sequence of integer rows.  No
-    transform is built: every entry after a pivot step is a minor of the
+    No transform is built: every entry after a pivot step is a minor of the
     input, so each division by the previous pivot is exact and the rows
     stay Python ints of bounded size.  Each step eliminates the leading
     column and drops it, together with rows that become zero; a matrix with
@@ -159,45 +138,18 @@ def rank(M) -> int:
     return r
 
 
-def det(M: np.ndarray) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    A = intmat(M)
-    n, m = A.shape
-    if n != m:
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k, k] == 0:
-            for i in range(k + 1, n):
-                if A[i, k] != 0:
-                    A[[k, i]] = A[[i, k]]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i, j] = (A[i, j] * A[k, k] - A[i, k] * A[k, j]) // prev
-            A[i, k] = 0
-        prev = A[k, k]
-    return sign * int(A[n - 1, n - 1])
-
-
-def kernel_with_complement(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def kernel_with_complement(M) -> tuple[list[list[int]], list[list[int]]]:
     """Split Z^cols into (right kernel of M) + (a complementary sublattice).
 
     Row-reduces M^T with a unimodular transform; transform rows mapped to
     zero span the kernel, the remaining rows complete them to a basis of
-    Z^cols.  The kernel basis is therefore saturated by construction.
+    Z^cols.  The kernel basis is therefore saturated by construction.  M
+    needs at least one row, which fixes the number of columns.
     """
-    H, U = hnf(np.ascontiguousarray(intmat(M).T))
-    nz = 0
-    for i in range(H.shape[0]):
-        if any(x != 0 for x in H[i]):
-            nz += 1
+    if any(len(row) != len(M[0]) for row in M):
+        raise ValueError("ragged rows in matrix input")
+    H, U = hnf(list(zip(*M)))
+    nz = sum(1 for row in H if any(row))
     return U[nz:], U[:nz]
 
 
@@ -214,18 +166,10 @@ class Sublattice:
 
     @staticmethod
     def span(ambient_rank: int, generators) -> "Sublattice":
-        G = intmat(generators)
-        if G.shape[0] and G.shape[1] != ambient_rank:
+        H, _ = hnf(generators)
+        if H and len(H[0]) != ambient_rank:
             raise ValueError("generator length does not match ambient rank")
-        if G.shape[0] == 0:
-            return Sublattice(ambient_rank, ())
-        H, _ = hnf(G)
-        rows = tuple(
-            tuple(int(x) for x in H[i])
-            for i in range(H.shape[0])
-            if any(x != 0 for x in H[i])
-        )
-        return Sublattice(ambient_rank, rows)
+        return Sublattice(ambient_rank, tuple(tuple(row) for row in H if any(row)))
 
     @staticmethod
     def full(n: int) -> "Sublattice":
@@ -234,12 +178,6 @@ class Sublattice:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return zeros(0, self.ambient_rank)
-        return intmat(self.rows)
 
     def contains(self, vector) -> bool:
         """Exact membership test against the Hermite basis."""
@@ -262,10 +200,10 @@ class Sublattice:
         return [list(r) for r in self.rows]
 
 
-def kernel(M: np.ndarray) -> Sublattice:
-    """Saturated basis of {a : M @ a = 0} inside Z^cols."""
+def kernel(M) -> Sublattice:
+    """Saturated basis of {a : M·a = 0} inside Z^cols; M needs at least one row."""
     K, _ = kernel_with_complement(M)
-    return Sublattice.span(intmat(M).shape[1], K)
+    return Sublattice.span(len(M[0]), K)
 
 
 def saturate(B: Sublattice) -> Sublattice:
@@ -274,27 +212,28 @@ def saturate(B: Sublattice) -> Sublattice:
     Double orthogonal complement: the saturation is the integer kernel of
     (a basis of) the kernel of the generators.
     """
-    K = kernel(B.matrix)
+    if B.rank == 0:
+        return B
+    K = kernel(B.rows)
     if K.rank == 0:
         return Sublattice.full(B.ambient_rank)
-    return kernel(K.matrix)
+    return kernel(K.rows)
 
 
-def is_alternating(M: np.ndarray) -> bool:
-    A = intmat(M)
-    n, m = A.shape
-    if n != m:
+def is_alternating(M) -> bool:
+    n = len(M)
+    if any(len(row) != n for row in M):
         return False
     for i in range(n):
-        if A[i, i] != 0:
+        if M[i][i] != 0:
             return False
         for j in range(i + 1, n):
-            if A[i, j] != -A[j, i]:
+            if M[i][j] != -M[j][i]:
                 return False
     return True
 
 
-def skew_rank(M: np.ndarray) -> int:
+def skew_rank(M) -> int:
     """Half the matrix rank of an alternating form (the rank is always even)."""
     if not is_alternating(M):
         raise ValueError("matrix is not alternating")

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from operator import mul
 
-import numpy as np
-
-from .lattice import Sublattice, intmat, is_alternating, kernel, zeros
+from .lattice import Sublattice, congruence, is_alternating, kernel
 from .valuegroup import GroupElement, ValueGroup, ValueGroupError, embed, merge
 
 
@@ -121,27 +120,28 @@ class Pairing:
 
     ``free_forms[l][i][j]`` is the exponent of the l-th free generator in
     the commutation scalar of generators i+1 and j+1; ``torsion_form`` holds
-    the torsion residues.  All forms are alternating.
+    the torsion residues.  Every form is a tuple of int tuples, and all
+    forms are alternating.
     """
 
     rank: int
     value_group: ValueGroup
-    free_forms: tuple
-    torsion_form: np.ndarray
+    free_forms: tuple[tuple[tuple[int, ...], ...], ...]
+    torsion_form: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         for M in self.free_forms:
-            if M.shape != (self.rank, self.rank) or not is_alternating(M):
+            if len(M) != self.rank or not is_alternating(M):
                 raise PairingError("free form is not alternating of the right size")
         T = self.torsion_form
         m = self.value_group.torsion_order
-        if T.shape != (self.rank, self.rank):
+        if len(T) != self.rank or any(len(row) != self.rank for row in T):
             raise PairingError("torsion form has the wrong size")
         for i in range(self.rank):
-            if T[i, i] % m != 0:
+            if T[i][i] % m != 0:
                 raise PairingError("torsion form has nonzero diagonal")
             for j in range(self.rank):
-                if (T[i, j] + T[j, i]) % m != 0:
+                if (T[i][j] + T[j][i]) % m != 0:
                     raise PairingError("torsion form is not alternating mod m")
 
     def commutator(self, a, b) -> GroupElement:
@@ -150,30 +150,23 @@ class Pairing:
         b = [int(x) for x in b]
         if len(a) != self.rank or len(b) != self.rank:
             raise PairingError("vector length does not match the pairing rank")
-        free = tuple(
-            sum(a[i] * int(M[i, j]) * b[j] for i in range(self.rank) for j in range(self.rank))
-            for M in self.free_forms
-        )
-        t = sum(
-            a[i] * int(self.torsion_form[i, j]) * b[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-        return GroupElement(self.value_group, free, t)
+        free = tuple(_evaluate(a, M, b) for M in self.free_forms)
+        return GroupElement(self.value_group, free, _evaluate(a, self.torsion_form, b))
+
+
+def _evaluate(a: list[int], M, b: list[int]) -> int:
+    """The bilinear form M on the vectors a and b."""
+    return sum(x * sum(map(mul, row, b)) for x, row in zip(a, M))
 
 
 def pairing_of(mat: MultiparameterMatrix) -> Pairing:
-    n = mat.rank
-    k = mat.value_group.free_rank
-    forms = [zeros(n, n) for _ in range(k)]
-    torsion = zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            e = mat.entries[i][j]
-            for l in range(k):
-                forms[l][i, j] = e.free[l]
-            torsion[i, j] = e.torsion
-    return Pairing(n, mat.value_group, tuple(forms), torsion)
+    rows = mat.entries
+    forms = tuple(
+        tuple(tuple(e.free[l] for e in row) for row in rows)
+        for l in range(mat.value_group.free_rank)
+    )
+    torsion = tuple(tuple(e.torsion for e in row) for row in rows)
+    return Pairing(mat.rank, mat.value_group, forms, torsion)
 
 
 def is_commutative(pairing: Pairing, B: Sublattice) -> bool:
@@ -194,20 +187,14 @@ def radical(pairing: Pairing) -> Sublattice:
     neither the center test nor the dimension, so the radical is the common
     rational kernel of the free forms intersected with Z^n.
     """
-    n = pairing.rank
     if not pairing.free_forms:
-        return Sublattice.full(n)
-    stacked = np.concatenate([intmat(M) for M in pairing.free_forms], axis=0)
-    return kernel(stacked)
+        return Sublattice.full(pairing.rank)
+    return kernel([row for M in pairing.free_forms for row in M])
 
 
 def center_is_trivial(pairing: Pairing) -> bool:
     """True iff the algebra's center is just the scalars (radical rank 0)."""
     return radical(pairing).rank == 0
-
-
-# Conventional alias: the center being trivial means it is exactly F.
-center_is_F = center_is_trivial
 
 
 def restrict(pairing: Pairing, B: Sublattice) -> Pairing:
@@ -218,13 +205,10 @@ def restrict(pairing: Pairing, B: Sublattice) -> Pairing:
     """
     if B.rank < 1:
         raise PairingError("cannot restrict to a rank-0 sublattice")
-    G = B.matrix
     m = pairing.value_group.torsion_order
-    forms = tuple(np.ascontiguousarray(G @ intmat(M) @ G.T) for M in pairing.free_forms)
-    T = G @ intmat(pairing.torsion_form) @ G.T
-    for i in range(B.rank):
-        for j in range(B.rank):
-            T[i, j] = int(T[i, j]) % m
+    forms = tuple(congruence(B.rows, M) for M in pairing.free_forms)
+    T = congruence(B.rows, pairing.torsion_form)
+    T = tuple(tuple(x % m for x in row) for row in T)
     return Pairing(B.rank, pairing.value_group, forms, T)
 
 

@@ -19,8 +19,12 @@ Torsion scalars never change the answer: if a sublattice B is isotropic for
 the free forms, then m*B (same rank) is isotropic for the full pairing
 because every torsion residue is multiplied by m^2.  The supremum of
 isotropic ranks is therefore computed from the free forms alone
-(``free_reduction``), and witnesses are rescaled by m at the end when
+(``Pairing.free_forms``), and witnesses are rescaled by m at the end when
 needed.
+
+Matrices are rows of Python ints (see ``lattice``).  numpy appears only in
+the brute-force oracle, whose fixed-width tables are checked against an
+overflow bound before use.
 """
 
 from __future__ import annotations
@@ -29,24 +33,24 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .lattice import (
     Sublattice,
+    congruence,
     identity,
-    intmat,
     kernel,
     kernel_with_complement,
+    matmul,
     primitive,
     rank,
     skew_rank,
-    zeros,
 )
 from .pairing import (
     DimensionResult,
     MultiparameterMatrix,
-    Pairing,
     center_is_trivial,
     is_commutative,
     pairing_of,
@@ -93,24 +97,20 @@ class _Budget:
         return True
 
 
-def free_reduction(pairing: Pairing) -> list[np.ndarray]:
-    """Integer alternating forms that determine the dimension.
-
-    The torsion form is dropped: a sublattice isotropic for the free forms
-    becomes isotropic for the full pairing after scaling by the torsion
-    order, without changing its rank, so the supremum over isotropic ranks
-    is unchanged.
-    """
-    return [intmat(M) for M in pairing.free_forms]
+def _form_coords(M, n: int) -> list[int]:
+    return [M[i][j] for i in range(n) for j in range(i + 1, n)]
 
 
-def _form_coords(M: np.ndarray, n: int) -> list[int]:
-    return [int(M[i, j]) for i in range(n) for j in range(i + 1, n)]
+def _combination(coeffs, forms) -> list[list[int]]:
+    """The integer combination sum_l coeffs[l] * forms[l]."""
+    return [
+        [sum(map(mul, coeffs, entries)) for entries in zip(*rows)] for rows in zip(*forms)
+    ]
 
 
-def _span_basis(forms: list[np.ndarray], n: int) -> list[np.ndarray]:
+def _span_basis(forms, n: int) -> list:
     """Drop forms that are rational combinations of earlier ones."""
-    kept: list[np.ndarray] = []
+    kept = []
     coords: list[list[int]] = []
     for M in forms:
         c = _form_coords(M, n)
@@ -130,43 +130,29 @@ def _span_basis(forms: list[np.ndarray], n: int) -> list[np.ndarray]:
 # exact closed form for a single alternating form
 
 
-def max_isotropic_single(M: np.ndarray, n: int) -> np.ndarray:
+def max_isotropic_single(M, n: int) -> list:
     """Rows of a maximal isotropic sublattice for one alternating form.
 
-    Splits off a hyperbolic pair (e_i, e_j) with M[i, j] != 0, recurses on
+    Splits off a hyperbolic pair (e_i, e_j) with M[i][j] != 0, recurses on
     the saturated symplectic complement, and rejoins e_i, which pairs
     trivially with the whole complement.  Yields rank n - skew_rank(M).
     """
-    if n == 0:
-        return zeros(0, 0)
-    A = intmat(M)
-    pivot = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if A[i, j] != 0:
-                pivot = (i, j)
-                break
-        if pivot:
-            break
+    pivot = next(((i, j) for i in range(n) for j in range(i + 1, n) if M[i][j]), None)
     if pivot is None:
         return identity(n)
     i, j = pivot
-    conditions = np.concatenate([A[i : i + 1], A[j : j + 1]], axis=0)
-    C, _ = kernel_with_complement(conditions)
-    sub = np.ascontiguousarray(C @ A @ C.T)
-    W = max_isotropic_single(sub, C.shape[0])
-    lifted = W @ C if W.shape[0] else zeros(0, n)
-    e_i = zeros(1, n)
-    e_i[0, i] = 1
-    return np.concatenate([e_i, lifted], axis=0)
+    C, _ = kernel_with_complement([M[i], M[j]])
+    W = max_isotropic_single(congruence(C, M), len(C))
+    e_i = [0] * n
+    e_i[i] = 1
+    return [e_i, *matmul(W, C)]
 
 
-def single_form_dimension(M: np.ndarray) -> tuple[int, Sublattice]:
+def single_form_dimension(M) -> tuple[int, Sublattice]:
     """Maximal isotropic rank n - skew_rank(M) of one alternating form, with witness."""
-    A = intmat(M)
-    n = A.shape[0]
-    r = skew_rank(A)
-    witness = Sublattice.span(n, max_isotropic_single(A, n))
+    n = len(M)
+    r = skew_rank(M)
+    witness = Sublattice.span(n, max_isotropic_single(M, n))
     if witness.rank != n - r:
         raise AssertionError("isotropic construction missed the closed-form rank")
     return n - r, witness
@@ -210,7 +196,7 @@ def _combo_vectors(k: int, opts: SolverOptions):
             yield c
 
 
-def _pencil_upper(forms: list[np.ndarray], n: int, opts: SolverOptions) -> int:
+def _pencil_upper(forms: list, n: int, opts: SolverOptions) -> int:
     """Upper bound from single-form ranks of sampled integer combinations.
 
     A common isotropic sublattice is isotropic for every integer
@@ -220,11 +206,8 @@ def _pencil_upper(forms: list[np.ndarray], n: int, opts: SolverOptions) -> int:
     best = n
     floor = n - n // 2
     for c in _combo_vectors(len(forms), opts):
-        F = zeros(n, n)
-        for coeff, M in zip(c, forms):
-            if coeff:
-                F = F + coeff * M
-        if all(x == 0 for x in F.flat):
+        F = _combination(c, forms)
+        if not any(map(any, F)):
             continue
         best = min(best, n - skew_rank(F))
         if best == floor:
@@ -232,7 +215,7 @@ def _pencil_upper(forms: list[np.ndarray], n: int, opts: SolverOptions) -> int:
     return best
 
 
-def _wedge_upper(forms: list[np.ndarray], n: int) -> int:
+def _wedge_upper(forms: list, n: int) -> int:
     """Upper bound by dimension count in the exterior square.
 
     The products v /\\ w of vectors from a rank-g isotropic sublattice span
@@ -253,20 +236,7 @@ def _wedge_upper(forms: list[np.ndarray], n: int) -> int:
 # lower-bound search
 
 
-def _orthogonal_complement(rows: list[list[int]], n: int) -> np.ndarray:
-    """Saturated basis of the vectors orthogonal to every row.
-
-    For the rows v M_1, ..., v M_k these are the vectors pairing trivially
-    with v under every form, v among them.
-    """
-    M = zeros(len(rows), n)
-    for idx, row in enumerate(rows):
-        M[idx] = row
-    K, _ = kernel_with_complement(M)
-    return K
-
-
-def _structured_candidates(forms: list[np.ndarray], n: int) -> list[tuple[int, ...]]:
+def _structured_candidates(forms: list, n: int) -> list[tuple[int, ...]]:
     """Kernel vectors of individual forms and of simple sums: cheap isotropic seeds."""
     out: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -281,13 +251,8 @@ def _structured_candidates(forms: list[np.ndarray], n: int) -> list[tuple[int, .
     for M in forms:
         add_rows(kernel(M).rows)
     if len(forms) > 1:
-        total = zeros(n, n)
-        alt = zeros(n, n)
-        for idx, M in enumerate(forms):
-            total = total + M
-            alt = alt + (M if idx % 2 == 0 else -M)
-        add_rows(kernel(total).rows)
-        add_rows(kernel(alt).rows)
+        add_rows(kernel(_combination([1] * len(forms), forms)).rows)
+        add_rows(kernel(_combination([(-1) ** idx for idx in range(len(forms))], forms)).rows)
     return out
 
 
@@ -330,13 +295,14 @@ def _box_vectors(n: int, bound: int):
 _CHUNK = 128
 
 
-def _candidate_stream(forms: list[np.ndarray], n: int, opts: SolverOptions):
+def _candidate_stream(forms: list, n: int, opts: SolverOptions):
     """Structured seeds first, then boxed enumeration, in dimension-sorted chunks.
 
     Yields ``(v, rows, dim)``: ``rows`` are v M_1, ..., v M_k as lists of
     ints, and ``dim = n - rank(rows)`` is the rank of v's orthogonal
-    complement.  Candidates with the larger complement come first; ties keep
-    the enumeration order.  Only the dimension is computed here: the caller
+    complement, the vectors pairing trivially with v under every form.
+    Candidates with the larger complement come first; ties keep the
+    enumeration order.  Only the dimension is computed here: the caller
     builds the complement from the same rows, and only for a branch it
     takes.  Sorting happens per chunk so the stream stays lazy and
     deterministic.
@@ -345,7 +311,7 @@ def _candidate_stream(forms: list[np.ndarray], n: int, opts: SolverOptions):
     k = len(forms)
     # Row i of every form, concatenated: v M_1, ..., v M_k is then one
     # combination of the rows of ``stacked`` over the nonzero entries of v.
-    stacked = [[int(x) for M in forms for x in M[i]] for i in range(n)]
+    stacked = [[x for M in forms for x in M[i]] for i in range(n)]
 
     def pairing_rows(v) -> list[list[int]]:
         acc = [0] * (k * n)
@@ -376,12 +342,11 @@ def _candidate_stream(forms: list[np.ndarray], n: int, opts: SolverOptions):
         yield from ranked(chunk)
 
 
-def _split_radical(forms: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _split_radical(forms: list, n: int) -> tuple[list, list]:
     """Rows spanning the common kernel of the forms, plus complementary rows."""
     if not forms:
-        return identity(n), zeros(0, n)
-    stacked = np.concatenate([intmat(M) for M in forms], axis=0)
-    return kernel_with_complement(stacked)
+        return identity(n), []
+    return kernel_with_complement([row for M in forms for row in M])
 
 
 class _Searcher:
@@ -403,31 +368,29 @@ class _Searcher:
         self.budget = budget
         self.memo: dict = {}
 
-    def run(self, forms: list[np.ndarray], n: int, target: int) -> tuple[int, np.ndarray]:
+    def run(self, forms: list, n: int, target: int) -> tuple[int, list]:
         got, rows, _ = self._solve(forms, n, target)
         return got, rows
 
     def _solve(self, forms, n, target):
         forms = _span_basis(forms, n)
-        key = (n, tuple(tuple(int(x) for x in M.flat) for M in forms))
+        key = (n, tuple(forms))
         cached = self.memo.get(key)
         if cached is not None:
             c_rank, c_rows, c_complete = cached
             if c_complete or c_rank >= target:
                 return cached
         K, C = _split_radical(forms, n)
-        r0 = K.shape[0]
+        r0 = len(K)
         if r0 == n:
             result = (n, K, True)
             self.memo[key] = result
             return result
-        qforms = [np.ascontiguousarray(C @ M @ C.T) for M in forms]
-        qforms = _span_basis(qforms, C.shape[0])
-        mq = C.shape[0]
+        mq = len(C)
+        qforms = _span_basis([congruence(C, M) for M in forms], mq)
         if len(qforms) == 1:
             W = max_isotropic_single(qforms[0], mq)
-            rows = np.concatenate([K, W @ C], axis=0) if W.shape[0] else K
-            result = (r0 + W.shape[0], rows, True)
+            result = (r0 + len(W), [*K, *matmul(W, C)], True)
             self.memo[key] = result
             return result
         best_rank, best_rows = r0, K
@@ -441,18 +404,15 @@ class _Searcher:
                 break
             if r0 + dim <= best_rank:
                 continue
-            comp = _orthogonal_complement(vrows, mq)
-            if comp.shape[0] != dim:
+            comp, _ = kernel_with_complement(vrows)
+            if len(comp) != dim:
                 raise AssertionError("complement rank differs from its ranked dimension")
-            sforms = [np.ascontiguousarray(comp @ M @ comp.T) for M in qforms]
-            sub_rank, sub_rows, sub_complete = self._solve(
-                sforms, comp.shape[0], target - r0
-            )
+            sforms = [congruence(comp, M) for M in qforms]
+            sub_rank, sub_rows, sub_complete = self._solve(sforms, dim, target - r0)
             complete = complete and sub_complete
             if r0 + sub_rank > best_rank:
                 best_rank = r0 + sub_rank
-                lifted = (sub_rows @ comp) @ C if sub_rows.shape[0] else zeros(0, n)
-                best_rows = np.concatenate([K, lifted], axis=0)
+                best_rows = [*K, *matmul(matmul(sub_rows, comp), C)]
         if self.budget.exhausted:
             complete = False
         result = (best_rank, best_rows, complete)
@@ -514,7 +474,7 @@ def _split_certificate(
     comps: list[tuple[int, ...]],
     opts: SolverOptions,
     budget: _Budget,
-) -> tuple[int, int, np.ndarray]:
+) -> tuple[int, int, list[list[int]]]:
     """Bounds from the block decomposition of a visibly split pairing.
 
     Generators in different components commute, so the algebra is the
@@ -564,13 +524,13 @@ def _split_certificate(
             hi = max(hi, lo)
             table[fs] = (lo, hi, rk, cf)
     lo, hi, _, _ = table[frozenset(indices)]
-    rows = zeros(sum(len(i["rows"]) for i in infos), n)
-    at = 0
+    rows = []
     for info in infos:
         for row in info["rows"]:
+            full = [0] * n
             for col, val in zip(info["comp"], row):
-                rows[at, col] = val
-            at += 1
+                full[col] = val
+            rows.append(full)
     return lo, hi, rows
 
 
@@ -583,23 +543,20 @@ def _dimension(
 ) -> DimensionResult:
     p = pairing_of(mat)
     n = mat.rank
-    forms = _span_basis(free_reduction(p), n)
+    forms = _span_basis(p.free_forms, n)
     rad_rows, comp_rows = _split_radical(forms, n)
-    r0 = rad_rows.shape[0]
+    r0 = len(rad_rows)
     mq = n - r0
 
     if mq == 0:
         lower = upper = n
         wit_rows = rad_rows
     else:
-        qforms = _span_basis(
-            [np.ascontiguousarray(comp_rows @ M @ comp_rows.T) for M in forms], mq
-        )
+        qforms = _span_basis([congruence(comp_rows, M) for M in forms], mq)
         if len(qforms) <= 1:
             value, wq = single_form_dimension(qforms[0]) if qforms else (mq, Sublattice.full(mq))
             lower = upper = r0 + value
-            lifted = wq.matrix @ comp_rows if wq.rank else zeros(0, n)
-            wit_rows = np.concatenate([rad_rows, lifted], axis=0)
+            wit_rows = [*rad_rows, *matmul(wq.rows, comp_rows)]
         else:
             upper = r0 + min(
                 _pencil_upper(qforms, mq, opts), _wedge_upper(qforms, mq)
@@ -617,8 +574,7 @@ def _dimension(
                 found, rows_q = searcher.run(qforms, mq, upper - r0)
                 if r0 + found > lower:
                     lower = r0 + found
-                    lifted = rows_q @ comp_rows if rows_q.shape[0] else zeros(0, n)
-                    wit_rows = np.concatenate([rad_rows, lifted], axis=0)
+                    wit_rows = [*rad_rows, *matmul(rows_q, comp_rows)]
             if lower == 0:
                 # Any single vector spans a commutative sublattice.
                 lower, wit_rows = 1, identity(n)[:1]
@@ -727,18 +683,15 @@ def brute_force_dimension(
     if N == 0:
         return 1
     m = mat.value_group.torsion_order
-    max_entry = 0
-    for M in list(p.free_forms) + [p.torsion_form]:
-        for x in M.flat:
-            max_entry = max(max_entry, abs(int(x)))
+    max_entry = max(abs(x) for M in (*p.free_forms, p.torsion_form) for row in M for x in row)
     iso = np.ones((N, N), dtype=bool)
     C = np.array(cands, dtype=np.int64)
     if max_entry * entry_bound * entry_bound * n * n < _INT64_SAFE:
         for M in p.free_forms:
-            vals = C @ M.astype(np.int64) @ C.T
+            vals = C @ np.array(M, dtype=np.int64) @ C.T
             iso &= vals == 0
         if m > 1:
-            vals = (C @ p.torsion_form.astype(np.int64) @ C.T) % m
+            vals = (C @ np.array(p.torsion_form, dtype=np.int64) @ C.T) % m
             iso &= vals == 0
     else:
         for a in range(N):

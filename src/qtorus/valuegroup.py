@@ -91,18 +91,6 @@ class GroupElement:
         return self.torsion == 0 and all(a == 0 for a in self.free)
 
 
-def combine(group: ValueGroup, e1: GroupElement, e2: GroupElement) -> GroupElement:
-    if e1.group != group or e2.group != group:
-        raise ValueGroupError("elements do not belong to the given value group")
-    return e1 + e2
-
-
-def is_identity(group: ValueGroup, e: GroupElement) -> bool:
-    if e.group != group:
-        raise ValueGroupError("element does not belong to the given value group")
-    return e.is_identity()
-
-
 def _renamed_apart(name: str, taken: set[str]) -> str:
     candidate = name
     while candidate in taken:

@@ -29,7 +29,7 @@ from qtorus.harness import (
     run_campaign,
 )
 from qtorus.instances import dumps, parse, serialize
-from qtorus.lattice import Sublattice, identity, zeros
+from qtorus.lattice import Sublattice, identity
 from qtorus.pairing import (
     MultiparameterMatrix,
     center_is_trivial,
@@ -198,12 +198,12 @@ def _apply(action, entries):
 
 
 def alternating(n, vals):
-    M = zeros(n, n)
+    M = [[0] * n for _ in range(n)]
     pos = 0
     for i in range(n):
         for j in range(i + 1, n):
-            M[i, j] = vals[pos]
-            M[j, i] = -vals[pos]
+            M[i][j] = vals[pos]
+            M[j][i] = -vals[pos]
             pos += 1
     return M
 
@@ -213,8 +213,8 @@ def form_instance(n, M):
     upper = {}
     for i in range(n):
         for j in range(i + 1, n):
-            if M[i, j]:
-                upper[(i + 1, j + 1)] = g.element((int(M[i, j]),))
+            if M[i][j]:
+                upper[(i + 1, j + 1)] = g.element((M[i][j],))
     return MultiparameterMatrix.from_upper(n, g, upper)
 
 
@@ -324,13 +324,13 @@ def test_criterion_09_finite_index_invariance():
         for _ in range(4):
             i, j = rng.randrange(n), rng.randrange(n)
             if i != j:
-                U[i] = U[i] + rng.randint(-2, 2) * U[j]
-        D = identity(n)
-        index = 1
-        for i in range(n):
-            D[i, i] = rng.randint(1, 3)
-            index *= D[i, i]
-        sub = Sublattice.span(n, D @ U)
+                c = rng.randint(-2, 2)
+                U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        rows = []  # D·U for a diagonal D with entries in [1, 3]
+        for row in U:
+            d = rng.randint(1, 3)
+            rows.append([d * a for a in row])
+        sub = Sublattice.span(n, rows)
         ok = ok and sub.rank == n
         restricted = restrict_matrix(mat, sub)
         res = dimension(restricted)

@@ -3,7 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from qtorus.elements import TwistedElement, cocycle, commutator_units, multiply, support
+from qtorus.elements import TwistedElement, cocycle, commutator_units, support
 from qtorus.harness import gen_random
 from qtorus.pairing import MultiparameterMatrix, PairingError, pairing_of
 from qtorus.valuegroup import ValueGroup
@@ -49,8 +49,8 @@ def test_multiply_unit():
     mat = bq()
     one = TwistedElement.one(mat)
     alpha = TwistedElement.monomial(mat, (2, -1), Fraction(3, 2)) + one
-    assert (multiply(alpha, one) - alpha).is_zero()
-    assert (multiply(one, alpha) - alpha).is_zero()
+    assert (alpha * one - alpha).is_zero()
+    assert (one * alpha - alpha).is_zero()
 
 
 def test_multiply_generators_differ_by_scalar():

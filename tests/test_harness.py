@@ -1,8 +1,11 @@
 import json
 
+import pytest
+
 from qtorus.harness import (
     CampaignConfig,
     PairAnalysis,
+    _trial_pair,
     check_additivity,
     check_strict,
     check_superadditivity,
@@ -14,6 +17,7 @@ from qtorus.harness import (
     gen_transpose_pair,
     run_campaign,
 )
+from qtorus.lattice import Sublattice
 from qtorus.pairing import (
     MultiparameterMatrix,
     is_commutative,
@@ -173,3 +177,30 @@ def test_campaign_oracle_is_exercised():
     rep = run_campaign(CampaignConfig(trials=15, seed=2))
     assert rep.oracle_checked + rep.oracle_skipped == 15
     assert rep.oracle_checked > 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        CampaignConfig(seed=7),
+        CampaignConfig(seed=3, max_rank=5, max_free=3),
+        CampaignConfig(seed=11, max_rank=4, max_free=3, torsion=3),
+    ],
+    ids=["defaults-7", "rank5-3", "torsion3-11"],
+)
+def test_concatenated_factor_witnesses_commute(config):
+    # Cross-block commutators vanish, so the factor witnesses side by side
+    # commute in the product; the product's own lower bound already reaches
+    # their rank, which is why the checkers read it alone.
+    for trial in range(12):
+        lam1, lam2 = _trial_pair(config, trial)
+        n1, n2 = lam1.rank, lam2.rank
+        d1, d2 = dimension(lam1, config.solver), dimension(lam2, config.solver)
+        rows = [list(r) + [0] * n2 for r in d1.witness.rows]
+        rows += [[0] * n1 + list(r) for r in d2.witness.rows]
+        concat = Sublattice.span(n1 + n2, rows)
+        assert concat.rank == d1.lower + d2.lower
+        for mode in ("shared", "disjoint"):
+            product = tensor(lam1, lam2, mode)
+            assert is_commutative(pairing_of(product), concat)
+            assert dimension(product, config.solver).lower >= concat.rank

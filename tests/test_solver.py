@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qtorus.harness import gen_commutative, gen_independent, gen_random, gen_transpose_pair
-from qtorus.lattice import Sublattice, intmat, zeros
+from qtorus.lattice import Sublattice, kernel_with_complement
 from qtorus.pairing import (
     MultiparameterMatrix,
     is_commutative,
@@ -17,11 +17,9 @@ from qtorus.solver import (
     ResourceLimitError,
     SolverOptions,
     _candidate_stream,
-    _orthogonal_complement,
     brute_force_dimension,
     codimension,
     dimension,
-    free_reduction,
     single_form_dimension,
 )
 from qtorus.valuegroup import ValueGroup
@@ -35,36 +33,34 @@ def sympl4():
 
 
 def alternating(n, upper_entries):
-    M = zeros(n, n)
+    M = [[0] * n for _ in range(n)]
     pos = 0
     for i in range(n):
         for j in range(i + 1, n):
-            M[i, j] = upper_entries[pos]
-            M[j, i] = -upper_entries[pos]
+            M[i][j] = upper_entries[pos]
+            M[j][i] = -upper_entries[pos]
             pos += 1
     return M
 
 
 # ---------------------------------------------------------------------------
-# free_reduction
+# the solver reads the free forms only
 
 
-def test_free_reduction_drops_torsion():
+def test_free_forms_drop_torsion():
     g = ValueGroup((), 5)
     mat = MultiparameterMatrix.from_upper(3, g, {(1, 2): g.element((), 3)})
-    assert free_reduction(pairing_of(mat)) == []
+    assert pairing_of(mat).free_forms == ()
     assert dimension(mat).to_json()["lower"] == 3
 
 
-def test_free_reduction_keeps_free_forms():
+def test_free_forms_keep_free_scalars():
     mat = gen_independent(2)
-    forms = free_reduction(pairing_of(mat))
-    assert len(forms) == 1
-    assert forms[0].tolist() == [[0, 1], [-1, 0]]
+    forms = pairing_of(mat).free_forms
+    assert forms == (((0, 1), (-1, 0)),)
     g = ValueGroup(("q",), 2)
     mixed = MultiparameterMatrix.from_upper(2, g, {(1, 2): g.element((1,), 1)})
-    forms = free_reduction(pairing_of(mixed))
-    assert len(forms) == 1
+    assert len(pairing_of(mixed).free_forms) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +68,11 @@ def test_free_reduction_keeps_free_forms():
 
 
 def test_single_form_examples():
-    v, w = single_form_dimension(zeros(3, 3))
+    v, w = single_form_dimension([[0] * 3] * 3)
     assert v == 3 and w == Sublattice.full(3)
-    v, w = single_form_dimension(intmat([[0, 1], [-1, 0]]))
+    v, w = single_form_dimension([[0, 1], [-1, 0]])
     assert v == 1 and w.rank == 1
-    v, w = single_form_dimension(
-        intmat([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-    )
+    v, w = single_form_dimension([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     assert v == 2 and w.rank == 2
 
 
@@ -88,8 +82,8 @@ def form_matrix(n, M):
     upper = {}
     for i in range(n):
         for j in range(i + 1, n):
-            if M[i, j]:
-                upper[(i + 1, j + 1)] = g.element((int(M[i, j]),))
+            if M[i][j]:
+                upper[(i + 1, j + 1)] = g.element((M[i][j],))
     return MultiparameterMatrix.from_upper(n, g, upper)
 
 
@@ -192,11 +186,11 @@ def test_dimension_invariant_under_finite_index():
         base = dimension(mat)
         if not base.exact:
             continue
-        rows = zeros(n, n)
+        rows = [[0] * n for _ in range(n)]
         for i in range(n):
-            rows[i, i] = rng.randint(1, 3)
+            rows[i][i] = rng.randint(1, 3)
             for j in range(i + 1, n):
-                rows[i, j] = rng.randint(-2, 2)
+                rows[i][j] = rng.randint(-2, 2)
         sub = Sublattice.span(n, rows)
         res = dimension(restrict_matrix(mat, sub))
         if res.exact:
@@ -249,6 +243,20 @@ GOLDEN = {
         "exact": False,
         "witness": [[2, 2, 4, 6, 0, -1], [0, 2091, -23837, 5854, -1, 12964]],
     },
+    # the free-form witness is rescaled by the torsion order 3
+    ("rescaled", 4, 3): {
+        "lower": 2,
+        "upper": 2,
+        "exact": True,
+        "witness": [[3, -3, 0, 0], [0, 0, 3, 0]],
+    },
+    # a nonzero common radical, with two forms left after restricting to its complement
+    ("radical", 4, 1): {
+        "lower": 3,
+        "upper": 3,
+        "exact": True,
+        "witness": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]],
+    },
 }
 
 
@@ -257,6 +265,9 @@ def test_dimension_golden_answers(case):
     if case[0] == "random":
         _, n, seed = case
         mat = gen_random(n, 3, seed=seed)
+    elif case[0] in ("rescaled", "radical"):
+        _, n, m = case
+        mat = gen_random(n, 2, m, exponent_bound=1, seed=0)
     else:
         mode, n = case
         lam, lam_t = gen_transpose_pair(n)
@@ -275,11 +286,10 @@ def test_candidate_stream_scores_complement_dimension(seed):
     ]
     dims = []
     for v, rows, dim in _candidate_stream(forms, n, SolverOptions(search_bound=1)):
-        vv = intmat([list(v)])
-        assert rows == [list((vv @ M)[0]) for M in forms]
-        comp = _orthogonal_complement(rows, n)
-        assert dim == comp.shape[0]
-        assert all(x == 0 for x in (comp @ intmat(rows).T).flat)
+        assert rows == [[sum(v[i] * M[i][j] for i in range(n)) for j in range(n)] for M in forms]
+        comp, _ = kernel_with_complement(rows)
+        assert dim == len(comp)
+        assert all(sum(a * b for a, b in zip(c, r)) == 0 for c in comp for r in rows)
         dims.append(dim)
     assert dims
 

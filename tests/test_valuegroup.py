@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 from qtorus.valuegroup import (
     ValueGroup,
     ValueGroupError,
-    combine,
     embed,
-    is_identity,
     merge,
 )
 
@@ -24,23 +22,24 @@ def test_validation():
 def test_combine_examples():
     g = ValueGroup(("a", "b"), 1)
     e = g.element((1, 0))
-    assert combine(g, e, g.identity()) == e
-    assert combine(g, g.element((1, 0)), g.element((0, 2))) == g.element((1, 2))
+    assert e + g.identity() == e
+    assert g.element((1, 0)) + g.element((0, 2)) == g.element((1, 2))
     g5 = ValueGroup((), 5)
-    assert combine(g5, g5.element((), 3), g5.element((), 4)) == g5.element((), 2)
+    assert g5.element((), 3) + g5.element((), 4) == g5.element((), 2)
 
 
 def test_is_identity():
     g = ValueGroup(("a",), 7)
-    assert is_identity(g, g.identity())
-    assert not is_identity(g, g.element((1,)))
-    assert is_identity(ValueGroup((), 7), ValueGroup((), 7).element((), 0))
+    assert g.identity().is_identity()
+    assert not g.element((1,)).is_identity()
+    assert not g.element((0,), 3).is_identity()
+    assert ValueGroup((), 7).element((), 0).is_identity()
 
 
 def test_mismatched_groups_rejected():
     g1, g2 = ValueGroup(("a",), 1), ValueGroup(("b",), 1)
     with pytest.raises(ValueGroupError):
-        combine(g1, g1.element((1,)), g2.element((1,)))
+        g1.element((1,)) + g2.element((1,))
 
 
 elements = st.tuples(
