@@ -23,8 +23,10 @@ isotropic ranks is therefore computed from the free forms alone
 needed.
 
 Matrices are rows of Python ints (see ``lattice``).  numpy appears only in
-the brute-force oracle, whose fixed-width tables are checked against an
-overflow bound before use.
+the brute-force oracle, which builds its int32 commutation table after an
+overflow check and a cap on the candidate count, then packs each row into
+a Python-int bitset; its search pools are int masks, and its independence
+test keeps integer annihilator rows of the chosen span, exact over Q.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 
 import numpy as np
@@ -613,48 +616,65 @@ def codimension(mat: MultiparameterMatrix, opts: SolverOptions | None = None) ->
 
 _BRUTE_MAX_RANK = 6
 _BRUTE_MAX_BOUND = 3
-_INT64_SAFE = 1 << 20
+# Largest candidate count whose N x N table is built: rank 6 at bound 1
+# gives 364 and rank 4 at bound 2 gives 272, while rank 6 at bound 3 (58,096
+# candidates) would need gigabytes.  At the cap the int32 table is 9 MB.
+_BRUTE_MAX_CANDIDATES = 1_500
+# Table entries are bounded by max_entry * bound^2 * n^2; below this they
+# fit int32 with room to spare.
+_INT32_SAFE = 1 << 20
 
 
 _CANDIDATE_CACHE: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
 
 def _brute_candidates(n: int, bound: int) -> list[tuple[int, ...]]:
+    """Canonical primitive vectors of the box; refuses more than the cap."""
     key = (n, bound)
     if key not in _CANDIDATE_CACHE:
-        _CANDIDATE_CACHE[key] = list(_box_vectors(n, bound))
+        cands = list(itertools.islice(_box_vectors(n, bound), _BRUTE_MAX_CANDIDATES + 1))
+        if len(cands) > _BRUTE_MAX_CANDIDATES:
+            raise ResourceLimitError(
+                f"brute force refused: rank {n} at bound {bound} has more than"
+                f" {_BRUTE_MAX_CANDIDATES} candidates"
+            )
+        _CANDIDATE_CACHE[key] = cands
     return _CANDIDATE_CACHE[key]
 
 
-_Echelon = list[tuple[int, tuple[int, ...]]]
+def _annihilate(ann: list, vec) -> list | None:
+    """Annihilator rows of span + ``vec``; None when ``vec`` is in the span.
+
+    ``ann`` is an integer basis of the vectors orthogonal to a span S.  Since
+    S = ann(ann(S)) over Q, ``vec`` is dependent exactly when every row·vec
+    is 0.  Otherwise, with j the first row of nonzero product p, the rows
+    p·row_k - (row_k·vec)·row_j (k != j) are orthogonal to S and to vec, and
+    independent because each has the coefficient p on its own row_k: a basis
+    of ann(S + vec), one row shorter.  Each is divided by its content.
+    """
+    for j, pivot in enumerate(ann):
+        p = sum(map(mul, pivot, vec))
+        if p:
+            break
+    else:
+        return None
+    grown = ann[:j]
+    for row in ann[j + 1 :]:
+        q = sum(map(mul, row, vec))
+        if q:
+            row = [p * x - q * y for x, y in zip(row, pivot)]
+            g = gcd(*row)
+            row = [x // g for x in row]
+        grown.append(row)
+    return grown
 
 
-def _echelon_add(ech: _Echelon, vec) -> _Echelon | None:
-    """Fraction-free echelon extension; None when ``vec`` is dependent."""
-    w = list(vec)
-    for piv, row in ech:
-        if w[piv]:
-            a, b = row[piv], w[piv]
-            w = [a * x - b * y for x, y in zip(w, row)]
-    for p, x in enumerate(w):
-        if x:
-            return ech + [(p, tuple(w))]
-    return None
-
-
-def _echelon_reach(ech: _Echelon, vectors, cap: int) -> int:
-    """Rank of the echelon extended by ``vectors``, stopping early at ``cap``."""
-    r = len(ech)
-    if r >= cap:
-        return r
-    for vec in vectors:
-        grown = _echelon_add(ech, vec)
-        if grown is not None:
-            ech = grown
-            r += 1
-            if r >= cap:
-                return r
-    return r
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def brute_force_dimension(
@@ -667,10 +687,23 @@ def brute_force_dimension(
     independent sets on which the full pairing (torsion included) vanishes.
     Shares nothing with the interval solver beyond the pairing definition.
 
-    Refuses oversized inputs, and with ``node_limit`` set also refuses
-    (deterministically) instances whose search tree outgrows the limit, so
-    callers never receive an under-explored maximum.
+    Bitset layout: the N x N commutation table is packed by one
+    ``np.packbits`` call (little bit order), so bit j of the Python int
+    ``compat[i]`` is set when candidates i and j commute.  A search pool is
+    an int mask over the candidates: a child taking i gets ``mask & compat[i]``
+    with bits 0..i cleared, and i is compatible with the whole pool when
+    ``compat[i] & mask == mask``.  Linear independence over Q is decided
+    exactly, with no modular step, against integer annihilator rows of the
+    chosen span (``_annihilate``), which start as the identity.
+
+    Refuses oversized inputs (rank, entry bound, or more than
+    ``_BRUTE_MAX_CANDIDATES`` candidates), and with ``node_limit`` set also
+    refuses (deterministically) instances whose search tree outgrows the
+    limit, so callers never receive an under-explored maximum.  Each search
+    node costs one unit of ``node_limit``, which must not be negative.
     """
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     n = mat.rank
     if n > _BRUTE_MAX_RANK or entry_bound > _BRUTE_MAX_BOUND:
         raise ResourceLimitError(
@@ -685,71 +718,77 @@ def brute_force_dimension(
     m = mat.value_group.torsion_order
     max_entry = max(abs(x) for M in (*p.free_forms, p.torsion_form) for row in M for x in row)
     iso = np.ones((N, N), dtype=bool)
-    C = np.array(cands, dtype=np.int64)
-    if max_entry * entry_bound * entry_bound * n * n < _INT64_SAFE:
+    if max_entry * entry_bound * entry_bound * n * n < _INT32_SAFE:
+        C = np.array(cands, dtype=np.int32)
         for M in p.free_forms:
-            vals = C @ np.array(M, dtype=np.int64) @ C.T
-            iso &= vals == 0
+            iso &= C @ np.array(M, dtype=np.int32) @ C.T == 0
         if m > 1:
-            vals = (C @ np.array(p.torsion_form, dtype=np.int64) @ C.T) % m
-            iso &= vals == 0
+            iso &= (C @ np.array(p.torsion_form, dtype=np.int32) @ C.T) % m == 0
     else:
         for a in range(N):
             for b in range(a + 1, N):
                 ok = p.commutator(cands[a], cands[b]).is_identity()
                 iso[a, b] = iso[b, a] = ok
+    compat = [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(iso, axis=1, bitorder="little")
+    ]
+    del iso
     best = 1
-    nodes = [node_limit if node_limit is not None else -1]
+    nodes = node_limit
 
-    def extend(depth: int, ech: _Echelon, mask: np.ndarray):
-        nonlocal best
-        if nodes[0] == 0:
-            raise ResourceLimitError(
-                f"brute force refused: node limit {node_limit} exhausted"
-            )
-        if nodes[0] > 0:
-            nodes[0] -= 1
+    def extend(depth: int, ann: list, mask: int):
+        nonlocal best, nodes
+        if nodes is not None:
+            if nodes == 0:
+                raise ResourceLimitError(
+                    f"brute force refused: node limit {node_limit} exhausted"
+                )
+            nodes -= 1
         if depth > best:
             best = depth
         if best == n:
             return
-        idxs = np.nonzero(mask)[0]
-        if depth + len(idxs) <= best:
+        pool = list(_bits(mask))
+        if depth + len(pool) <= best:
             return
         # Vectors compatible with the whole pool can be taken greedily: by
         # matroid exchange some maximum solution contains any maximal
         # independent subset of them, so they never need to be branched on.
-        sub = iso[np.ix_(idxs, idxs)]
-        universal = idxs[sub.all(axis=1)]
-        if universal.size:
+        universal = [i for i in pool if compat[i] & mask == mask]
+        if universal:
             for i in universal:
-                grown = _echelon_add(ech, cands[i])
+                grown = _annihilate(ann, cands[i])
                 if grown is not None:
-                    ech = grown
+                    ann = grown
                     depth += 1
-            mask = mask.copy()
-            mask[universal] = False
-            idxs = np.nonzero(mask)[0]
+                mask ^= 1 << i
+            pool = [i for i in pool if mask >> i & 1]
             if depth > best:
                 best = depth
             if best == n:
                 return
-            if depth + len(idxs) <= best:
+            if depth + len(pool) <= best:
                 return
         # No superset of the chosen vectors inside the compatible pool can
         # exceed the pool's joint rank; skip the subtree when that rank
         # cannot beat the current best.
-        if _echelon_reach(ech, (cands[i] for i in idxs), best + 1) <= best:
-            return
-        for pos, i in enumerate(idxs):
-            if depth + (len(idxs) - pos) <= best:
+        reach, rows = depth, ann
+        for i in pool:
+            if reach > best:
                 break
-            grown = _echelon_add(ech, cands[i])
-            if grown is None:
-                continue
-            new_mask = mask & iso[i]
-            new_mask[: i + 1] = False
-            extend(depth + 1, grown, new_mask)
+            grown = _annihilate(rows, cands[i])
+            if grown is not None:
+                rows = grown
+                reach += 1
+        if reach <= best:
+            return
+        for pos, i in enumerate(pool):
+            if depth + len(pool) - pos <= best:
+                break
+            grown = _annihilate(ann, cands[i])
+            if grown is not None:
+                extend(depth + 1, grown, (mask & compat[i]) >> (i + 1) << (i + 1))
 
-    extend(0, [], np.ones(N, dtype=bool))
+    extend(0, [[int(i == j) for j in range(n)] for i in range(n)], (1 << N) - 1)
     return best

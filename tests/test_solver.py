@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from qtorus.harness import gen_commutative, gen_independent, gen_random, gen_transpose_pair
+from qtorus.harness import (
+    CampaignConfig,
+    _trial_pair,
+    gen_commutative,
+    gen_independent,
+    gen_random,
+    gen_transpose_pair,
+)
 from qtorus.lattice import Sublattice, kernel_with_complement
 from qtorus.pairing import (
     MultiparameterMatrix,
@@ -13,6 +20,7 @@ from qtorus.pairing import (
     tensor,
 )
 from qtorus.solver import (
+    _INT32_SAFE,
     InexactDimensionError,
     ResourceLimitError,
     SolverOptions,
@@ -313,6 +321,79 @@ def test_brute_resource_refusal():
         brute_force_dimension(gen_commutative(2), entry_bound=4)
     with pytest.raises(ResourceLimitError):
         brute_force_dimension(gen_independent(4), node_limit=1)
+
+
+def test_brute_refuses_oversized_candidate_pool():
+    # Rank 6 at bound 3 passes the rank and bound guards but has 58,096
+    # candidates; the refusal must come before any N x N table is built.
+    with pytest.raises(ResourceLimitError, match="candidates"):
+        brute_force_dimension(gen_commutative(6), entry_bound=3)
+
+
+def test_brute_rejects_negative_node_limit():
+    with pytest.raises(ValueError):
+        brute_force_dimension(gen_commutative(2), node_limit=-1)
+    with pytest.raises(ResourceLimitError):
+        brute_force_dimension(gen_commutative(2), node_limit=0)
+
+
+# (instance, entry bound, oracle value, search nodes), pinned from the
+# echelon-based oracle the bitset search replaced.  Campaign products are
+# the shared tensors of harness._trial_pair(CampaignConfig(seed, torsion),
+# trial); random instances are gen_random(n, k, m, 1, seed).
+_PINNED_ORACLE = [
+    (("campaign", 1, 1, 0), 1, 2, 1675),
+    (("campaign", 1, 1, 3), 1, 3, 1805),
+    (("campaign", 1, 1, 8), 1, 4, 1026),
+    (("campaign", 1, 1, 10), 1, 3, 38),
+    (("campaign", 3, 1, 7), 1, 5, 1),
+    (("campaign", 3, 1, 11), 1, 3, 1537),
+    (("campaign", 5, 3, 0), 1, 2, 111),
+    (("campaign", 5, 3, 1), 1, 6, 566),
+    (("campaign", 5, 3, 2), 1, 2, 573),
+    (("campaign", 7, 3, 0), 1, 6, 1304),
+    (("campaign", 7, 3, 6), 1, 5, 378),
+    (("random", 4, 1, 1, 1), 2, 2, 2821),
+    (("random", 4, 1, 3, 2), 2, 3, 625),
+    (("random", 4, 2, 1, 2), 2, 2, 420),
+]
+
+
+def _pinned_instance(spec):
+    if spec[0] == "campaign":
+        _, seed, torsion, trial = spec
+        lam1, lam2 = _trial_pair(CampaignConfig(seed=seed, torsion=torsion), trial)
+        return tensor(lam1, lam2, "shared")
+    _, n, k, m, seed = spec
+    return gen_random(n, k, m, 1, seed=seed)
+
+
+@pytest.mark.parametrize("spec, bound, value, nodes", _PINNED_ORACLE)
+def test_brute_search_tree_pinned(spec, bound, value, nodes):
+    mat = _pinned_instance(spec)
+    assert brute_force_dimension(mat, bound, node_limit=nodes) == value
+    with pytest.raises(ResourceLimitError):
+        brute_force_dimension(mat, bound, node_limit=nodes - 1)
+
+
+@pytest.mark.parametrize("n, k, seed, bound", [(4, 2, 0, 1), (4, 2, 3, 2), (5, 1, 0, 1)])
+def test_brute_wide_entries_fallback(n, k, seed, bound):
+    # Scaling the free forms by 2^18 keeps every commutator's vanishing set,
+    # and pushes the table past the int32-safe bound onto the per-pair path.
+    mat = gen_random(n, k, 1, 2, seed=seed)
+    g = mat.value_group
+    wide = MultiparameterMatrix.from_upper(
+        n,
+        g,
+        {
+            (i + 1, j + 1): g.element(tuple(x << 18 for x in mat.entries[i][j].free))
+            for i in range(n)
+            for j in range(i + 1, n)
+        },
+    )
+    max_entry = max(abs(x) for M in pairing_of(wide).free_forms for row in M for x in row)
+    assert max_entry * bound * bound * n * n >= _INT32_SAFE
+    assert brute_force_dimension(wide, bound) == brute_force_dimension(mat, bound)
 
 
 # ---------------------------------------------------------------------------
