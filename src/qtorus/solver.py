@@ -15,6 +15,14 @@ is known, so the solver reports a certified interval:
 The ``exact`` flag is set only when the two meet.  Exhausting the search
 budget can therefore cost exactness but never correctness.
 
+A search level whose forms span every alternating form on Q^m (m >= 3)
+is not scanned.  The wedge count there leaves room for rank 1 only above
+the level's radical, the first candidate of the stream reaches it, and the
+scan would skip every later one.  The level is still charged the one node
+per candidate that the scan spends (the box is counted, not enumerated),
+so budgets run out where they would have, and every answer, witness and
+budget-limited interval is the one the scan gives.
+
 Torsion scalars never change the answer: if a sublattice B is isotropic for
 the free forms, then m*B (same rank) is isotropic for the full pairing
 because every torsion residue is multiplied by m^2.  The supremum of
@@ -95,6 +103,29 @@ class _Budget:
             return False
         self.nodes_left -= 1
         if self.nodes_left <= 0 or time.monotonic() > self.deadline:
+            self.exhausted = True
+            return False
+        return True
+
+    def spend(self, count: int) -> bool:
+        """Charge ``count`` nodes at once, as ``count`` calls of ``tick``.
+
+        Leaves ``nodes_left`` and ``exhausted`` as those calls would, and
+        returns True when all of them would have; the wall clock is read
+        once, at the end.
+        """
+        if count <= 0:
+            return True
+        if self.exhausted:
+            return False
+        # The j-th tick fails once nodes_left - j <= 0; later ticks change nothing.
+        failing = max(self.nodes_left, 1)
+        if count >= failing:
+            self.nodes_left -= failing
+            self.exhausted = True
+            return False
+        self.nodes_left -= count
+        if time.monotonic() > self.deadline:
             self.exhausted = True
             return False
         return True
@@ -218,17 +249,17 @@ def _pencil_upper(forms: list, n: int, opts: SolverOptions) -> int:
     return best
 
 
-def _wedge_upper(forms: list, n: int) -> int:
+def _wedge_upper(count: int, n: int) -> int:
     """Upper bound by dimension count in the exterior square.
 
     The products v /\\ w of vectors from a rank-g isotropic sublattice span
     a g(g-1)/2-dimensional subspace annihilated by every form, viewed as a
     linear functional on the exterior square; that space has dimension
-    C(n,2) minus the rank of the forms' coefficient matrix.
+    C(n,2) minus ``count``, the number of linearly independent forms (as
+    ``_span_basis`` returns them).  The bound is 1 exactly when the forms
+    span every alternating form on Q^n.
     """
-    if not forms:
-        return n
-    free_dim = n * (n - 1) // 2 - rank([_form_coords(M, n) for M in forms])
+    free_dim = n * (n - 1) // 2 - count
     g = n
     while g > 1 and g * (g - 1) // 2 > free_dim:
         g -= 1
@@ -290,9 +321,34 @@ def _box_vectors(n: int, bound: int):
             lead = next((x for x in v if x != 0), 0)
             if lead < 0:
                 continue
-            if v != primitive(v):
+            if gcd(*v) != 1:
                 continue
             yield v
+
+
+def _mobius(d: int) -> int:
+    mu, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if d > 1 else mu
+
+
+def _box_count(n: int, bound: int) -> int:
+    """How many vectors ``_box_vectors(n, bound)`` yields, without enumerating them.
+
+    The (2b+1)^n - 1 nonzero vectors of [-b, b]^n are the multiples d*w of
+    the primitive w in [-b//d, b//d]^n, so Mobius inversion over the content
+    d counts the primitive ones; half of them have a positive leading entry.
+    """
+    primitive_count = sum(
+        _mobius(d) * ((2 * (bound // d) + 1) ** n - 1) for d in range(1, bound + 1)
+    )
+    return primitive_count // 2
 
 
 _CHUNK = 128
@@ -345,6 +401,21 @@ def _candidate_stream(forms: list, n: int, opts: SolverOptions):
         yield from ranked(chunk)
 
 
+def _uniform_stream(forms: list, n: int, opts: SolverOptions):
+    """First vector and length of ``_candidate_stream`` when every score ties.
+
+    With equal dimensions the per-chunk sort keeps enumeration order, so the
+    first vector is the first structured seed, else the first box vector.
+    The length counts the box without enumerating it and drops the seeds
+    that the box repeats (seeds are primitive with a positive lead).
+    """
+    seeds = _structured_candidates(forms, n)
+    bound = opts.search_bound
+    first = seeds[0] if seeds else next(_box_vectors(n, bound), None)
+    repeats = sum(1 for v in seeds if max(map(abs, v)) <= bound)
+    return first, len(seeds) + _box_count(n, bound) - repeats
+
+
 def _split_radical(forms: list, n: int) -> tuple[list, list]:
     """Rows spanning the common kernel of the forms, plus complementary rows."""
     if not forms:
@@ -364,6 +435,16 @@ class _Searcher:
     best rank found.  All coordinates are exact, so witnesses survive
     unbounded entry growth even though each level only enumerates small
     coordinate vectors.
+
+    A level whose forms span every alternating form is not scanned.  There
+    the wedge bound is 1, and each candidate's complement has rank 1: its
+    pairing rows v M span the functionals vanishing on v.  So the first
+    candidate reaches r0 + 1 and the scan only ticks the rest.  The closed
+    form takes the same first candidate and charges the budget those ticks
+    (``_Budget.spend``), keeping the ``best >= target`` stop, the
+    ``complete`` flag and the memo rule of the scan.  A plain break without
+    the charge would leave more nodes for other levels and change answers
+    that the node budget limits.
     """
 
     def __init__(self, opts: SolverOptions, budget: _Budget):
@@ -398,24 +479,38 @@ class _Searcher:
             return result
         best_rank, best_rows = r0, K
         complete = True
-        for _, vrows, dim in _candidate_stream(qforms, mq, self.opts):
-            if best_rank >= target:
+        if _wedge_upper(len(qforms), mq) == 1:
+            # Every alternating form on Q^mq (mq >= 3): the scan's outcome,
+            # in closed form (see the class docstring).
+            v, size = _uniform_stream(qforms, mq, self.opts)
+            if size and best_rank < target and self.budget.tick():
+                comp, _ = kernel_with_complement([matmul([v], M)[0] for M in qforms])
+                if len(comp) != 1:
+                    raise AssertionError("all-forms level left a complement of rank != 1")
+                best_rank, best_rows = r0 + 1, [*K, *matmul(comp, C)]
+                if size > 1 and (best_rank >= target or not self.budget.spend(size - 1)):
+                    complete = False
+            elif size:
                 complete = False
-                break
-            if not self.budget.tick():
-                complete = False
-                break
-            if r0 + dim <= best_rank:
-                continue
-            comp, _ = kernel_with_complement(vrows)
-            if len(comp) != dim:
-                raise AssertionError("complement rank differs from its ranked dimension")
-            sforms = [congruence(comp, M) for M in qforms]
-            sub_rank, sub_rows, sub_complete = self._solve(sforms, dim, target - r0)
-            complete = complete and sub_complete
-            if r0 + sub_rank > best_rank:
-                best_rank = r0 + sub_rank
-                best_rows = [*K, *matmul(matmul(sub_rows, comp), C)]
+        else:
+            for _, vrows, dim in _candidate_stream(qforms, mq, self.opts):
+                if best_rank >= target:
+                    complete = False
+                    break
+                if not self.budget.tick():
+                    complete = False
+                    break
+                if r0 + dim <= best_rank:
+                    continue
+                comp, _ = kernel_with_complement(vrows)
+                if len(comp) != dim:
+                    raise AssertionError("complement rank differs from its ranked dimension")
+                sforms = [congruence(comp, M) for M in qforms]
+                sub_rank, sub_rows, sub_complete = self._solve(sforms, dim, target - r0)
+                complete = complete and sub_complete
+                if r0 + sub_rank > best_rank:
+                    best_rank = r0 + sub_rank
+                    best_rows = [*K, *matmul(matmul(sub_rows, comp), C)]
         if self.budget.exhausted:
             complete = False
         result = (best_rank, best_rows, complete)
@@ -562,7 +657,7 @@ def _dimension(
             wit_rows = [*rad_rows, *matmul(wq.rows, comp_rows)]
         else:
             upper = r0 + min(
-                _pencil_upper(qforms, mq, opts), _wedge_upper(qforms, mq)
+                _pencil_upper(qforms, mq, opts), _wedge_upper(len(qforms), mq)
             )
             comps = _components(mat)
             split = None

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,11 @@ from qtorus.solver import (
     InexactDimensionError,
     ResourceLimitError,
     SolverOptions,
+    _box_count,
+    _box_vectors,
+    _Budget,
     _candidate_stream,
+    _Searcher,
     brute_force_dimension,
     codimension,
     dimension,
@@ -227,6 +232,27 @@ GOLDEN = {
         "exact": True,
         "witness": [[1 if j % 5 == i else 0 for j in range(10)] for i in range(5)],
     },
+    # shared n >= 5 runs through levels whose forms span every alternating
+    # form; at these node budgets the budget runs out inside such levels, so
+    # the answers pin how many nodes each of them is charged.
+    ("shared", 6): {
+        "lower": 2,
+        "upper": 6,
+        "exact": False,
+        "witness": [[0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]],
+    },
+    ("shared", 5, 300): {
+        "lower": 2,
+        "upper": 5,
+        "exact": False,
+        "witness": [[0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]],
+    },
+    ("shared", 5, 2000): {
+        "lower": 2,
+        "upper": 5,
+        "exact": False,
+        "witness": [[0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]],
+    },
     ("disjoint", 3): {
         "lower": 2,
         "upper": 3,
@@ -270,6 +296,8 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: "-".join(map(str, c)))
 def test_dimension_golden_answers(case):
+    # node budget only: the wall clock must not decide a pinned answer
+    opts = SolverOptions(time_budget=1e6)
     if case[0] == "random":
         _, n, seed = case
         mat = gen_random(n, 3, seed=seed)
@@ -277,11 +305,56 @@ def test_dimension_golden_answers(case):
         _, n, m = case
         mat = gen_random(n, 2, m, exponent_bound=1, seed=0)
     else:
-        mode, n = case
+        mode, n, *node_budget = case
         lam, lam_t = gen_transpose_pair(n)
         mat = tensor(lam, lam_t, mode)
-    # node budget only: the wall clock must not decide a pinned answer
-    assert dimension(mat, SolverOptions(time_budget=1e6)).to_json() == GOLDEN[case]
+        if node_budget:
+            opts = replace(opts, node_budget=node_budget[0])
+    assert dimension(mat, opts).to_json() == GOLDEN[case]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_all_forms_level_charges_the_scan(n):
+    # Forms spanning every alternating form: each candidate's complement has
+    # rank 1, and the level must cost one node per candidate of the stream.
+    pairs = n * (n - 1) // 2
+    forms = [
+        tuple(map(tuple, alternating(n, [int(t == s) for t in range(pairs)])))
+        for s in range(pairs)
+    ]
+    opts = SolverOptions(time_budget=1e6)
+    stream = list(_candidate_stream(forms, n, opts))
+    assert {dim for _, _, dim in stream} == {1}
+    for extra in (1, 0):
+        budget = _Budget(replace(opts, node_budget=len(stream) + extra))
+        got, rows, complete = _Searcher(opts, budget)._solve(forms, n, n)
+        assert (got, len(rows)) == (1, 1)
+        assert complete == bool(extra)
+        assert budget.nodes_left == extra
+    # a target the first candidate meets stops the level after one node
+    budget = _Budget(opts)
+    assert _Searcher(opts, budget)._solve(forms, n, 1)[::2] == (1, False)
+    assert budget.nodes_left == opts.node_budget - 1
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_box_count_matches_enumeration(n):
+    for bound in range(4):
+        assert _box_count(n, bound) == len(list(_box_vectors(n, bound)))
+
+
+def test_budget_spend_matches_ticks():
+    for nodes, count, drained in itertools.product(range(6), range(7), (False, True)):
+        spent = _Budget(SolverOptions(node_budget=nodes, time_budget=1e6))
+        ticked = _Budget(SolverOptions(node_budget=nodes, time_budget=1e6))
+        if drained:
+            while spent.tick():
+                pass
+            while ticked.tick():
+                pass
+        ok = all([ticked.tick() for _ in range(count)])  # a list: every tick runs
+        assert spent.spend(count) == ok
+        assert (spent.nodes_left, spent.exhausted) == (ticked.nodes_left, ticked.exhausted)
 
 
 @pytest.mark.parametrize("seed", range(8))
