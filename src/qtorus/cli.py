@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -59,15 +58,10 @@ def _emit(doc, args) -> None:
 
 
 def _solver_options(args) -> SolverOptions:
-    time_budget = args.time_budget
-    if time_budget is None:
-        env = os.environ.get("QTORUS_TIME_BUDGET_MS")
-        time_budget = float(env) / 1000.0 if env else 10.0
     return SolverOptions(
         search_bound=args.bound,
         combo_samples=args.combo_samples,
-        time_budget=time_budget,
-        seed=args.seed,
+        time_budget=args.time_budget,
     )
 
 
@@ -77,10 +71,9 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--time-budget",
         type=float,
-        default=None,
-        help="seconds before the search degrades to an interval (default 10, or QTORUS_TIME_BUDGET_MS)",
+        default=10.0,
+        help="seconds before the search degrades to an interval",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled certificates")
     p.add_argument("--json", action="store_true", help="compact canonical JSON on stdout")
 
 

@@ -15,6 +15,12 @@ is known, so the solver reports a certified interval:
 The ``exact`` flag is set only when the two meet.  Exhausting the search
 budget can therefore cost exactness but never correctness.
 
+The solver reads only the integer forms of the commutator pairing.  The
+top level and every search level take one step (``_level``): split off the
+common kernel of the forms, restrict them to a complement, and close the
+level in closed form when at most one form is left.  The tensor-splitting
+certificate solves each block on the forms sliced to its generators.
+
 A search level whose forms span every alternating form on Q^m (m >= 3)
 is not scanned.  The wedge count there leaves room for rank 1 only above
 the level's radical, the first candidate of the stream reaches it, and the
@@ -62,6 +68,7 @@ from .lattice import (
 from .pairing import (
     DimensionResult,
     MultiparameterMatrix,
+    Pairing,
     center_is_trivial,
     is_commutative,
     pairing_of,
@@ -82,7 +89,6 @@ class SolverOptions:
     combo_samples: int = 64
     time_budget: float = 10.0
     node_budget: int = 20_000
-    seed: int = 0
 
 
 class _Budget:
@@ -98,27 +104,18 @@ class _Budget:
         self.deadline = time.monotonic() + opts.time_budget
         self.exhausted = False
 
-    def tick(self) -> bool:
-        if self.exhausted:
-            return False
-        self.nodes_left -= 1
-        if self.nodes_left <= 0 or time.monotonic() > self.deadline:
-            self.exhausted = True
-            return False
-        return True
+    def spend(self, count: int = 1) -> bool:
+        """Charge ``count`` nodes; True while the budget is not exhausted.
 
-    def spend(self, count: int) -> bool:
-        """Charge ``count`` nodes at once, as ``count`` calls of ``tick``.
-
-        Leaves ``nodes_left`` and ``exhausted`` as those calls would, and
-        returns True when all of them would have; the wall clock is read
-        once, at the end.
+        Each node lowers ``nodes_left`` by one, and the node that brings it
+        to 0 or below exhausts the budget; nodes charged after that change
+        nothing.  The wall clock is read once, at the end.
         """
         if count <= 0:
             return True
         if self.exhausted:
             return False
-        # The j-th tick fails once nodes_left - j <= 0; later ticks change nothing.
+        # The j-th node fails once nodes_left - j <= 0; later ones change nothing.
         failing = max(self.nodes_left, 1)
         if count >= failing:
             self.nodes_left -= failing
@@ -220,7 +217,7 @@ def _combo_vectors(k: int, opts: SolverOptions):
         if c:
             count += 1
             yield c
-    rng = random.Random(opts.seed)
+    rng = random.Random(0)
     attempts = 0
     while count < opts.combo_samples and attempts < 20 * opts.combo_samples:
         attempts += 1
@@ -416,45 +413,59 @@ def _uniform_stream(forms: list, n: int, opts: SolverOptions):
     return first, len(seeds) + _box_count(n, bound) - repeats
 
 
-def _split_radical(forms: list, n: int) -> tuple[list, list]:
-    """Rows spanning the common kernel of the forms, plus complementary rows."""
-    if not forms:
-        return identity(n), []
-    return kernel_with_complement([row for M in forms for row in M])
+def _level(forms: list, n: int):
+    """One level's step: split off the radical, restrict, close one form.
+
+    ``forms`` are independent (``_span_basis``).  Returns ``(K, C, qforms,
+    closed)``: K spans the common kernel of the forms, C completes it to a
+    basis of Z^n, and ``qforms`` are the independent restrictions of the
+    forms to C.  Every maximal isotropic sublattice contains K, so with at
+    most one form left the level is exact: ``closed`` holds the rows of K
+    and of a maximal isotropic sublattice of that form, of rank
+    len(C) - skew_rank.  With two or more forms left it is None.
+    """
+    if forms:
+        K, C = kernel_with_complement([row for M in forms for row in M])
+    else:
+        K, C = identity(n), []
+    mq = len(C)
+    qforms = _span_basis([congruence(C, M) for M in forms], mq)
+    if len(qforms) > 1:
+        return K, C, qforms, None
+    W = max_isotropic_single(qforms[0], mq) if qforms else identity(mq)
+    if len(W) != mq - (skew_rank(qforms[0]) if qforms else 0):
+        raise AssertionError("isotropic construction missed the closed-form rank")
+    return K, C, qforms, [*K, *matmul(W, C)]
 
 
 class _Searcher:
     """Depth-first search for a maximum-rank common isotropic sublattice.
 
     Every maximal isotropic sublattice contains the common kernel of the
-    forms, so each level strips that kernel, restricts to a complement, and
-    branches on the first vector of the remaining witness; the chosen
-    vector's orthogonal complement becomes the next level's lattice.
-    Candidates arrive ranked by complement dimension alone, and a
-    complement basis is built only for a branch that can still beat the
-    best rank found.  All coordinates are exact, so witnesses survive
-    unbounded entry growth even though each level only enumerates small
-    coordinate vectors.
+    forms, so each level strips that kernel, restricts to a complement
+    (``_level``), and branches on the first vector of the remaining
+    witness; the chosen vector's orthogonal complement becomes the next
+    level's lattice.  Candidates arrive ranked by complement dimension
+    alone, and a complement basis is built only for a branch that can
+    still beat the best rank found.  All coordinates are exact, so
+    witnesses survive unbounded entry growth even though each level only
+    enumerates small coordinate vectors.
 
     A level whose forms span every alternating form is not scanned.  There
     the wedge bound is 1, and each candidate's complement has rank 1: its
     pairing rows v M span the functionals vanishing on v.  So the first
-    candidate reaches r0 + 1 and the scan only ticks the rest.  The closed
-    form takes the same first candidate and charges the budget those ticks
-    (``_Budget.spend``), keeping the ``best >= target`` stop, the
-    ``complete`` flag and the memo rule of the scan.  A plain break without
-    the charge would leave more nodes for other levels and change answers
-    that the node budget limits.
+    candidate reaches r0 + 1 and the scan only charges the rest one node
+    each.  The closed form takes the same first candidate and charges the
+    budget those nodes at once (``_Budget.spend``), keeping the
+    ``best >= target`` stop, the ``complete`` flag and the memo rule of the
+    scan.  A plain break without the charge would leave more nodes for
+    other levels and change answers that the node budget limits.
     """
 
     def __init__(self, opts: SolverOptions, budget: _Budget):
         self.opts = opts
         self.budget = budget
         self.memo: dict = {}
-
-    def run(self, forms: list, n: int, target: int) -> tuple[int, list]:
-        got, rows, _ = self._solve(forms, n, target)
-        return got, rows
 
     def _solve(self, forms, n, target):
         forms = _span_basis(forms, n)
@@ -464,26 +475,19 @@ class _Searcher:
             c_rank, c_rows, c_complete = cached
             if c_complete or c_rank >= target:
                 return cached
-        K, C = _split_radical(forms, n)
-        r0 = len(K)
-        if r0 == n:
-            result = (n, K, True)
+        K, C, qforms, closed = _level(forms, n)
+        if closed is not None:
+            result = (len(closed), closed, True)
             self.memo[key] = result
             return result
-        mq = len(C)
-        qforms = _span_basis([congruence(C, M) for M in forms], mq)
-        if len(qforms) == 1:
-            W = max_isotropic_single(qforms[0], mq)
-            result = (r0 + len(W), [*K, *matmul(W, C)], True)
-            self.memo[key] = result
-            return result
+        r0, mq = len(K), len(C)
         best_rank, best_rows = r0, K
         complete = True
         if _wedge_upper(len(qforms), mq) == 1:
             # Every alternating form on Q^mq (mq >= 3): the scan's outcome,
             # in closed form (see the class docstring).
             v, size = _uniform_stream(qforms, mq, self.opts)
-            if size and best_rank < target and self.budget.tick():
+            if size and best_rank < target and self.budget.spend():
                 comp, _ = kernel_with_complement([matmul([v], M)[0] for M in qforms])
                 if len(comp) != 1:
                     raise AssertionError("all-forms level left a complement of rank != 1")
@@ -497,7 +501,7 @@ class _Searcher:
                 if best_rank >= target:
                     complete = False
                     break
-                if not self.budget.tick():
+                if not self.budget.spend():
                     complete = False
                     break
                 if r0 + dim <= best_rank:
@@ -524,9 +528,14 @@ class _Searcher:
 # tensor-splitting certificate
 
 
-def _components(mat: MultiparameterMatrix) -> list[tuple[int, ...]]:
-    """Connected components of generators under 'does not commute with'."""
-    n = mat.rank
+def _components(p: Pairing) -> list[tuple[int, ...]]:
+    """Connected components of generators under 'does not commute with'.
+
+    Generators i and j commute when every form, the torsion form included,
+    vanishes on them.
+    """
+    n = p.rank
+    forms = (*p.free_forms, p.torsion_form)
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -538,16 +547,16 @@ def _components(mat: MultiparameterMatrix) -> list[tuple[int, ...]]:
             i = stack.pop()
             comp.append(i)
             for j in range(n):
-                if not seen[j] and not mat.entries[i][j].is_identity():
+                if not seen[j] and any(F[i][j] for F in forms):
                     seen[j] = True
                     stack.append(j)
         comps.append(tuple(sorted(comp)))
     return comps
 
 
-def _submatrix(mat: MultiparameterMatrix, idxs: tuple[int, ...]) -> MultiparameterMatrix:
-    grid = tuple(tuple(mat.entries[i][j] for j in idxs) for i in idxs)
-    return MultiparameterMatrix(len(idxs), mat.value_group, grid)
+def _sliced(F, idxs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The form F on the generators ``idxs`` alone."""
+    return tuple(tuple(F[i][j] for j in idxs) for i in idxs)
 
 
 def _pair_bound(lo1, hi1, r1, cf1, lo2, hi2, r2, cf2) -> int:
@@ -568,7 +577,7 @@ def _pair_bound(lo1, hi1, r1, cf1, lo2, hi2, r2, cf2) -> int:
 
 
 def _split_certificate(
-    mat: MultiparameterMatrix,
+    p: Pairing,
     comps: list[tuple[int, ...]],
     opts: SolverOptions,
     budget: _Budget,
@@ -580,10 +589,14 @@ def _split_certificate(
     witnesses give the lower bound, and folding the component intervals
     through the two-factor bound over all bipartitions gives the upper.
     """
-    n = mat.rank
     infos = []
     for comp in comps:
-        sub = _submatrix(mat, comp)
+        sub = Pairing(
+            len(comp),
+            p.value_group,
+            tuple(_sliced(F, comp) for F in p.free_forms),
+            _sliced(p.torsion_form, comp),
+        )
         res = _dimension(sub, opts, budget)
         infos.append(
             {
@@ -591,7 +604,7 @@ def _split_certificate(
                 "lo": res.lower,
                 "hi": res.upper,
                 "rank": len(comp),
-                "center": center_is_trivial(pairing_of(sub)),
+                "center": center_is_trivial(sub),
                 "rows": res.witness.rows,
             }
         )
@@ -625,7 +638,7 @@ def _split_certificate(
     rows = []
     for info in infos:
         for row in info["rows"]:
-            full = [0] * n
+            full = [0] * p.rank
             for col, val in zip(info["comp"], row):
                 full[col] = val
             rows.append(full)
@@ -636,46 +649,32 @@ def _split_certificate(
 # the solver proper
 
 
-def _dimension(
-    mat: MultiparameterMatrix, opts: SolverOptions, budget: _Budget
-) -> DimensionResult:
-    p = pairing_of(mat)
-    n = mat.rank
-    forms = _span_basis(p.free_forms, n)
-    rad_rows, comp_rows = _split_radical(forms, n)
-    r0 = len(rad_rows)
-    mq = n - r0
+def _dimension(p: Pairing, opts: SolverOptions, budget: _Budget) -> DimensionResult:
+    n = p.rank
+    rad_rows, comp_rows, qforms, closed = _level(_span_basis(p.free_forms, n), n)
+    r0, mq = len(rad_rows), len(comp_rows)
 
-    if mq == 0:
-        lower = upper = n
-        wit_rows = rad_rows
+    if closed is not None:
+        lower = upper = len(closed)
+        wit_rows = closed
     else:
-        qforms = _span_basis([congruence(comp_rows, M) for M in forms], mq)
-        if len(qforms) <= 1:
-            value, wq = single_form_dimension(qforms[0]) if qforms else (mq, Sublattice.full(mq))
-            lower = upper = r0 + value
-            wit_rows = [*rad_rows, *matmul(wq.rows, comp_rows)]
-        else:
-            upper = r0 + min(
-                _pencil_upper(qforms, mq, opts), _wedge_upper(len(qforms), mq)
-            )
-            comps = _components(mat)
-            split = None
-            if len(comps) >= 2:
-                split = _split_certificate(mat, comps, opts, budget)
-                upper = min(upper, split[1])
-            lower, wit_rows = r0, rad_rows
-            if split is not None and split[0] > lower:
-                lower, wit_rows = split[0], split[2]
-            if lower < upper:
-                searcher = _Searcher(opts, budget)
-                found, rows_q = searcher.run(qforms, mq, upper - r0)
-                if r0 + found > lower:
-                    lower = r0 + found
-                    wit_rows = [*rad_rows, *matmul(rows_q, comp_rows)]
-            if lower == 0:
-                # Any single vector spans a commutative sublattice.
-                lower, wit_rows = 1, identity(n)[:1]
+        upper = r0 + min(_pencil_upper(qforms, mq, opts), _wedge_upper(len(qforms), mq))
+        comps = _components(p)
+        split = None
+        if len(comps) >= 2:
+            split = _split_certificate(p, comps, opts, budget)
+            upper = min(upper, split[1])
+        lower, wit_rows = r0, rad_rows
+        if split is not None and split[0] > lower:
+            lower, wit_rows = split[0], split[2]
+        if lower < upper:
+            found, rows_q, _ = _Searcher(opts, budget)._solve(qforms, mq, upper - r0)
+            if r0 + found > lower:
+                lower = r0 + found
+                wit_rows = [*rad_rows, *matmul(rows_q, comp_rows)]
+        if lower == 0:
+            # Any single vector spans a commutative sublattice.
+            lower, wit_rows = 1, identity(n)[:1]
 
     upper = min(upper, n)
     if lower > upper:
@@ -683,8 +682,9 @@ def _dimension(
     witness = Sublattice.span(n, wit_rows)
     if witness.rank < lower:
         raise AssertionError("witness rank fell short of the certified lower bound")
-    if mat.value_group.torsion_order > 1 and not is_commutative(p, witness):
-        witness = witness.scaled(mat.value_group.torsion_order)
+    m = p.value_group.torsion_order
+    if m > 1 and not is_commutative(p, witness):
+        witness = witness.scaled(m)
     if not is_commutative(p, witness):
         raise AssertionError("witness is not commutative for the pairing")
     return DimensionResult(lower, upper, lower == upper, witness)
@@ -693,7 +693,7 @@ def _dimension(
 def dimension(mat: MultiparameterMatrix, opts: SolverOptions | None = None) -> DimensionResult:
     """Certified dimension interval of the quantum torus presented by ``mat``."""
     opts = opts or SolverOptions()
-    return _dimension(mat, opts, _Budget(opts))
+    return _dimension(pairing_of(mat), opts, _Budget(opts))
 
 
 def codimension(mat: MultiparameterMatrix, opts: SolverOptions | None = None) -> int:
@@ -780,7 +780,9 @@ def brute_force_dimension(
     Enumerates canonical primitive vectors with entries in
     [-entry_bound, entry_bound] and maximizes the cardinality of linearly
     independent sets on which the full pairing (torsion included) vanishes.
-    Shares nothing with the interval solver beyond the pairing definition.
+    It shares two things with the interval solver: the pairing definition,
+    and the candidate vectors, which ``_box_vectors`` enumerates for both;
+    no radical, complement, ranking or certificate of the solver is used.
 
     Bitset layout: the N x N commutation table is packed by one
     ``np.packbits`` call (little bit order), so bit j of the Python int

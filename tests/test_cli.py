@@ -139,15 +139,9 @@ def test_element_mul(tmp_path):
     ]
 
 
-def test_time_budget_env_override(tmp_path):
+def test_time_budget_zero_is_inconclusive(tmp_path):
     a, b, t = (tmp_path / name for name in ("a.json", "b.json", "t.json"))
     run_cli("generate", "--kind", "transpose-pair", "--rank", "3", "-o", str(a), "--out2", str(b))
     run_cli("tensor", str(a), str(b), "-o", str(t))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env["QTORUS_TIME_BUDGET_MS"] = "0"
-    res = subprocess.run(
-        [sys.executable, "-m", "qtorus", "dim", str(t), "--require-exact"],
-        capture_output=True, text=True, env=env,
-    )
+    res = run_cli("dim", str(t), "--require-exact", "--time-budget", "0")
     assert res.returncode == 2

@@ -163,8 +163,8 @@ def test_dimension_witness_commutative_with_torsion():
 
 def test_dimension_deterministic():
     mat = gen_random(4, 2, 1, 2, seed=3)
-    a = dimension(mat, SolverOptions(seed=5)).to_json()
-    b = dimension(mat, SolverOptions(seed=5)).to_json()
+    a = dimension(mat).to_json()
+    b = dimension(mat).to_json()
     assert a == b
 
 
@@ -291,7 +291,29 @@ GOLDEN = {
         "exact": True,
         "witness": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]],
     },
+    # shared n = 3 over a torsion-3 group with lambda_14 = zeta: the blocks are
+    # linked by torsion alone, so no split certificate applies
+    ("torsion_link", 3): {
+        "lower": 3,
+        "upper": 4,
+        "exact": False,
+        "witness": [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]],
+    },
 }
+
+
+def torsion_linked_transpose_pair(n):
+    """Shared lambda (x) lambda^T over a torsion-3 group, with lambda_14 = zeta."""
+    lam, lam_t = gen_transpose_pair(n)
+    shared = tensor(lam, lam_t, "shared")
+    g = ValueGroup(shared.value_group.free_names, 3)
+    upper = {
+        (i + 1, j + 1): g.element(shared.entries[i][j].free)
+        for i in range(2 * n)
+        for j in range(i + 1, 2 * n)
+    }
+    upper[(1, 4)] = g.element(torsion=1)
+    return MultiparameterMatrix.from_upper(2 * n, g, upper)
 
 
 @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: "-".join(map(str, c)))
@@ -304,6 +326,8 @@ def test_dimension_golden_answers(case):
     elif case[0] in ("rescaled", "radical"):
         _, n, m = case
         mat = gen_random(n, 2, m, exponent_bound=1, seed=0)
+    elif case[0] == "torsion_link":
+        mat = torsion_linked_transpose_pair(case[1])
     else:
         mode, n, *node_budget = case
         lam, lam_t = gen_transpose_pair(n)
@@ -343,18 +367,33 @@ def test_box_count_matches_enumeration(n):
         assert _box_count(n, bound) == len(list(_box_vectors(n, bound)))
 
 
+def _tick(state):
+    """One node charged to a (nodes_left, exhausted) budget, the way the scan counts."""
+    left, exhausted = state
+    if exhausted:
+        return state, False
+    left -= 1
+    return (left, left <= 0), left > 0
+
+
 def test_budget_spend_matches_ticks():
+    # spend() charges one node and spend(count) charges count of them, both
+    # exactly as the plain count-down of ``_tick``.
     for nodes, count, drained in itertools.product(range(6), range(7), (False, True)):
         spent = _Budget(SolverOptions(node_budget=nodes, time_budget=1e6))
-        ticked = _Budget(SolverOptions(node_budget=nodes, time_budget=1e6))
+        state = (nodes, False)
         if drained:
-            while spent.tick():
-                pass
-            while ticked.tick():
-                pass
-        ok = all([ticked.tick() for _ in range(count)])  # a list: every tick runs
+            ok = True
+            while ok:
+                state, ok = _tick(state)
+                assert spent.spend() == ok
+                assert (spent.nodes_left, spent.exhausted) == state
+        ok = True
+        for _ in range(count):
+            state, ticked = _tick(state)
+            ok = ok and ticked
         assert spent.spend(count) == ok
-        assert (spent.nodes_left, spent.exhausted) == (ticked.nodes_left, ticked.exhausted)
+        assert (spent.nodes_left, spent.exhausted) == state
 
 
 @pytest.mark.parametrize("seed", range(8))
