@@ -132,6 +132,12 @@ def _cmd_transpose(args) -> int:
     return EXIT_OK
 
 
+def _integer_row(row, length: int, where: str) -> list[int]:
+    if not isinstance(row, list) or len(row) != length:
+        raise InstanceFormatError(f"{where}: expected a list of {length} integers")
+    return [instances.integer(x, f"{where}[{c}]") for c, x in enumerate(row)]
+
+
 def _cmd_restrict(args) -> int:
     mat = instances.parse(args.file)
     try:
@@ -139,6 +145,9 @@ def _cmd_restrict(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"--generators: invalid JSON: {exc.msg}", file=sys.stderr)
         return EXIT_USAGE
+    if not isinstance(rows, list):
+        raise InstanceFormatError("--generators: expected a list of rows")
+    rows = [_integer_row(row, mat.rank, f"--generators[{pos}]") for pos, row in enumerate(rows)]
     sub = Sublattice.span(mat.rank, rows)
     if sub.rank == 0:
         print("--generators: sublattice has rank 0", file=sys.stderr)
@@ -198,26 +207,17 @@ def _parse_element(mat, text: str, flag: str) -> TwistedElement:
         raise InstanceFormatError(f"{flag}: invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, list):
         raise InstanceFormatError(f"{flag}: expected a list of term objects")
-    group = mat.value_group
     total = TwistedElement.zero(mat)
     for pos, term in enumerate(doc):
         where = f"{flag}[{pos}]"
         if not isinstance(term, dict):
             raise InstanceFormatError(f"{where}: expected an object")
-        exponent = term.get("exponent")
-        if not isinstance(exponent, list) or len(exponent) != mat.rank:
-            raise InstanceFormatError(f"{where}.exponent: expected a list of {mat.rank} integers")
+        exponent = _integer_row(term.get("exponent"), mat.rank, f"{where}.exponent")
         try:
             coeff = Fraction(str(term.get("coeff", 1)))
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceFormatError(f"{where}.coeff: not a rational: {exc}") from exc
-        scalar_doc = term.get("scalar", {})
-        free = [0] * group.free_rank
-        for name, exp in scalar_doc.items():
-            if name not in group.free_names:
-                raise InstanceFormatError(f"{where}.scalar: unknown generator {name!r}")
-            free[group.free_names.index(name)] = int(exp)
-        scalar = group.element(tuple(free), int(term.get("torsion", 0)))
+        scalar = instances.scalar(mat.value_group, term, where, "scalar")
         total = total + TwistedElement.monomial(mat, exponent, coeff, scalar)
     return total
 

@@ -1,17 +1,19 @@
 """Instance generators and mechanical checkers for the tensor dimension laws.
 
-Each checker evaluates one proved statement about dim of a tensor product
-against certified dimension intervals.  Verdicts are tri-state: a statement
-``holds`` or is ``violated`` only when the interval certificates decide it;
-anything else is ``inconclusive``.  Since every checked statement is a
-theorem, a ``violated`` verdict means an implementation bug, so such
-verdicts carry the full instances for replay.
+Each checker states one proved law about the dimension d of a tensor
+product as ``holds_at(d)`` and lets ``_verdict`` decide it on the certified
+interval [lower, upper]: the law ``holds`` when every d in it satisfies
+the law, is ``violated`` when none does, and is ``inconclusive`` otherwise
+or when there is no claim (inexact factors, unmet hypotheses).  Since every
+checked statement is a theorem, a ``violated`` verdict means an
+implementation bug, so such verdicts carry the full instances for replay.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from . import instances
 from .lattice import Sublattice
@@ -40,6 +42,12 @@ STATEMENTS = (
     "WeylAnalogue",
 )
 
+# The campaign's brute-force cross-check: entry bound, largest tensor rank
+# it runs on, and node limit before a trial's check is skipped.
+ORACLE_BOUND = 1
+ORACLE_MAX_RANK = 6
+ORACLE_NODE_LIMIT = 20_000
+
 HOLDS = "holds"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
@@ -51,14 +59,6 @@ class Verdict:
     hypotheses_met: bool
     conclusion: str
     data: dict
-
-    def to_json(self) -> dict:
-        return {
-            "statement": self.statement,
-            "hypotheses_met": self.hypotheses_met,
-            "conclusion": self.conclusion,
-            "data": self.data,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -129,22 +129,21 @@ def diagonal_sublattice(n: int) -> Sublattice:
 
 
 class PairAnalysis:
-    """Dimensions of two factors and their tensor product, computed once."""
+    """Dimensions of two factors and their shared tensor product, computed once."""
 
-    def __init__(
-        self,
-        lam1: MultiparameterMatrix,
-        lam2: MultiparameterMatrix,
-        mode: str = "shared",
-        opts: SolverOptions | None = None,
-    ):
+    def __init__(self, lam1: MultiparameterMatrix, lam2: MultiparameterMatrix, opts=None):
+        opts = opts or SolverOptions()
         self.lam1, self.lam2 = lam1, lam2
-        self.opts = opts or SolverOptions()
         self.r1, self.r2 = lam1.rank, lam2.rank
-        self.d1 = dimension(lam1, self.opts)
-        self.d2 = dimension(lam2, self.opts)
-        self.product = tensor(lam1, lam2, mode)
-        self.dt = dimension(self.product, self.opts)
+        self.d1 = dimension(lam1, opts)
+        self.d2 = dimension(lam2, opts)
+        self.product = tensor(lam1, lam2, "shared")
+        self.dt = dimension(self.product, opts)
+
+    @cached_property
+    def centers_trivial(self) -> bool:
+        """Whether both factors have trivial center."""
+        return all(center_is_trivial(pairing_of(lam)) for lam in (self.lam1, self.lam2))
 
     def factors_exact(self) -> bool:
         return self.d1.exact and self.d2.exact
@@ -166,78 +165,66 @@ class PairAnalysis:
         }
 
 
-def _verdict(statement, hypotheses_met, conclusion, analysis, extra=None) -> Verdict:
-    data = analysis.base_data()
-    if extra:
-        data.update(extra)
-    if conclusion == VIOLATED:
-        data["instances"] = analysis.violation_payload()
-    return Verdict(statement, hypotheses_met, conclusion, data)
+def _verdict(a, statement, met, holds_at=None, extra=None) -> Verdict:
+    """The only place a conclusion is formed (see the module docstring);
+    ``holds_at`` is None when there is no claim to decide."""
+    data = a.base_data()
+    data.update(extra or {})
+    conclusion = INCONCLUSIVE
+    if holds_at is not None:
+        outcomes = {holds_at(d) for d in range(a.dt.lower, a.dt.upper + 1)}
+        if outcomes == {True}:
+            conclusion = HOLDS
+        elif outcomes == {False}:
+            conclusion = VIOLATED
+            data["instances"] = a.violation_payload()
+    return Verdict(statement, met, conclusion, data)
 
 
 # ---------------------------------------------------------------------------
 # checkers
 
+_INEXACT = {"reason": "factor dims inexact"}
+
 
 def check_superadditivity(lam1, lam2, opts=None, analysis=None) -> Verdict:
     """dim(product) >= dim(factor1) + dim(factor2), unconditionally."""
-    a = analysis or PairAnalysis(lam1, lam2, opts=opts)
+    a = analysis or PairAnalysis(lam1, lam2, opts)
     if not a.factors_exact():
-        return _verdict("Superadditivity", True, INCONCLUSIVE, a)
+        return _verdict(a, "Superadditivity", True)
     target = a.d1.lower + a.d2.lower
-    if a.dt.lower >= target:
-        return _verdict("Superadditivity", True, HOLDS, a, {"target": target})
-    if a.dt.upper < target:
-        return _verdict("Superadditivity", True, VIOLATED, a, {"target": target})
-    return _verdict("Superadditivity", True, INCONCLUSIVE, a, {"target": target})
+    return _verdict(a, "Superadditivity", True, lambda d: d >= target, {"target": target})
 
 
 def check_upper_bound(lam1, lam2, opts=None, analysis=None) -> Verdict:
     """dim(product) <= min(d1 + r2, d2 + r1) - 1 when both factors have
     dimension below their rank; without that hypothesis the same bound
     holds without the -1 and is reported as WeakUpperBound."""
-    a = analysis or PairAnalysis(lam1, lam2, opts=opts)
+    a = analysis or PairAnalysis(lam1, lam2, opts)
     if not a.factors_exact():
-        return _verdict("UpperBound", False, INCONCLUSIVE, a, {"reason": "factor dims inexact"})
+        return _verdict(a, "UpperBound", False, extra=_INEXACT)
     d1, d2 = a.d1.lower, a.d2.lower
     rhs = min(d1 + a.r2, d2 + a.r1)
     met = d1 < a.r1 and d2 < a.r2
-    statement = "UpperBound" if met else "WeakUpperBound"
     bound = rhs - 1 if met else rhs
-    extra = {"rhs": rhs, "bound": bound}
-    if a.dt.upper <= bound:
-        return _verdict(statement, met, HOLDS, a, extra)
-    if a.dt.lower > bound:
-        return _verdict(statement, met, VIOLATED, a, extra)
-    return _verdict(statement, met, INCONCLUSIVE, a, extra)
+    statement = "UpperBound" if met else "WeakUpperBound"
+    return _verdict(a, statement, met, lambda d: d <= bound, {"rhs": rhs, "bound": bound})
 
 
 def check_strict(lam1, lam2, opts=None, analysis=None) -> Verdict:
     """dim(product) < min(d1 + r2, d2 + r1) - 1 when both factors have
     dimension >= 2, codimension >= 2, and trivial center."""
-    a = analysis or PairAnalysis(lam1, lam2, opts=opts)
+    a = analysis or PairAnalysis(lam1, lam2, opts)
     if not a.factors_exact():
-        return _verdict("StrictUpperBound", False, INCONCLUSIVE, a, {"reason": "factor dims inexact"})
+        return _verdict(a, "StrictUpperBound", False, extra=_INEXACT)
     d1, d2 = a.d1.lower, a.d2.lower
-    centers = center_is_trivial(pairing_of(lam1)) and center_is_trivial(pairing_of(lam2))
-    met = (
-        d1 >= 2
-        and d2 >= 2
-        and a.r1 - d1 >= 2
-        and a.r2 - d2 >= 2
-        and centers
-    )
+    met = d1 >= 2 and d2 >= 2 and a.r1 - d1 >= 2 and a.r2 - d2 >= 2 and a.centers_trivial
     if not met:
-        return _verdict(
-            "StrictUpperBound", False, INCONCLUSIVE, a, {"reason": "hypotheses not met"}
-        )
+        return _verdict(a, "StrictUpperBound", False, extra={"reason": "hypotheses not met"})
     rhs = min(d1 + a.r2, d2 + a.r1)
-    extra = {"rhs": rhs, "strict_bound": rhs - 1}
-    if a.dt.upper <= rhs - 2:
-        return _verdict("StrictUpperBound", True, HOLDS, a, extra)
-    if a.dt.lower >= rhs - 1:
-        return _verdict("StrictUpperBound", True, VIOLATED, a, extra)
-    return _verdict("StrictUpperBound", True, INCONCLUSIVE, a, extra)
+    return _verdict(
+        a, "StrictUpperBound", True, lambda d: d < rhs - 1, {"rhs": rhs, "strict_bound": rhs - 1}
+    )
 
 
 def check_additivity(lam1, lam2, opts=None, analysis=None) -> Verdict:
@@ -249,34 +236,23 @@ def check_additivity(lam1, lam2, opts=None, analysis=None) -> Verdict:
     centers).  When none applies the verdict is inconclusive with the
     hypotheses flag down.
     """
-    a = analysis or PairAnalysis(lam1, lam2, opts=opts)
+    a = analysis or PairAnalysis(lam1, lam2, opts)
     if not a.factors_exact():
-        return _verdict("AdditivityCodimLE1", False, INCONCLUSIVE, a, {"reason": "factor dims inexact"})
+        return _verdict(a, "AdditivityCodimLE1", False, extra=_INEXACT)
     d1, d2 = a.d1.lower, a.d2.lower
-    codim1, codim2 = a.r1 - d1, a.r2 - d2
+    codim = min(a.r1 - d1, a.r2 - d2)
     if a.r1 == 2 and a.r2 == 2:
         statement = "WeylAnalogue"
-    elif min(codim1, codim2) <= 1:
+    elif codim <= 1:
         statement = "AdditivityCodimLE1"
-    elif (
-        min(codim1, codim2) == 2
-        and d1 >= 2
-        and d2 >= 2
-        and center_is_trivial(pairing_of(lam1))
-        and center_is_trivial(pairing_of(lam2))
-    ):
+    elif codim == 2 and d1 >= 2 and d2 >= 2 and a.centers_trivial:
         statement = "AdditivityCodim2"
     else:
         return _verdict(
-            "AdditivityCodimLE1", False, INCONCLUSIVE, a, {"reason": "no additivity criterion applies"}
+            a, "AdditivityCodimLE1", False, extra={"reason": "no additivity criterion applies"}
         )
     target = d1 + d2
-    extra = {"target": target}
-    if a.dt.lower >= target and a.dt.upper <= target:
-        return _verdict(statement, True, HOLDS, a, extra)
-    if a.dt.upper < target or a.dt.lower > target:
-        return _verdict(statement, True, VIOLATED, a, extra)
-    return _verdict(statement, True, INCONCLUSIVE, a, extra)
+    return _verdict(a, statement, True, lambda d: d == target, {"target": target})
 
 
 ALL_CHECKERS = (check_superadditivity, check_upper_bound, check_strict, check_additivity)
@@ -295,9 +271,6 @@ class CampaignConfig:
     exponent_bound: int = 2
     torsion: int = 1
     solver: SolverOptions = field(default_factory=SolverOptions)
-    oracle_bound: int = 1
-    oracle_max_rank: int = 6
-    oracle_node_limit: int = 20_000
 
 
 @dataclass
@@ -357,9 +330,12 @@ def _trial_pair(config: CampaignConfig, trial: int):
 def run_campaign(config: CampaignConfig | None = None) -> Report:
     """Stream seeded random pairs through every checker and tally verdicts.
 
-    Also cross-checks each tensor dimension against the brute-force oracle
-    at a small entry bound; the oracle value must never exceed the
-    certified upper bound, and must never exceed an exact value.
+    One ``PairAnalysis`` per trial feeds every checker, and ``_verdict``
+    decides each law on the certified tensor interval.  Tensors of rank <=
+    ``ORACLE_MAX_RANK`` are also cross-checked against the brute-force
+    oracle at ``ORACLE_BOUND``: its value is a lower bound, so exceeding the
+    certified upper bound is an anomaly; past ``ORACLE_NODE_LIMIT`` nodes
+    the check is skipped and counted.
     """
     config = config or CampaignConfig()
     tallies = {s: {HOLDS: 0, VIOLATED: 0, INCONCLUSIVE: 0} for s in STATEMENTS}
@@ -368,34 +344,29 @@ def run_campaign(config: CampaignConfig | None = None) -> Report:
     checked = skipped = 0
     for trial in range(config.trials):
         lam1, lam2 = _trial_pair(config, trial)
-        analysis = PairAnalysis(lam1, lam2, opts=config.solver)
+        analysis = PairAnalysis(lam1, lam2, config.solver)
         for checker in ALL_CHECKERS:
             verdict = checker(lam1, lam2, analysis=analysis)
             tallies[verdict.statement][verdict.conclusion] += 1
             if verdict.conclusion == VIOLATED:
-                violations.append({"trial": trial, "verdict": verdict.to_json()})
-        if analysis.product.rank <= config.oracle_max_rank:
-            try:
-                oracle = brute_force_dimension(
-                    analysis.product,
-                    config.oracle_bound,
-                    node_limit=config.oracle_node_limit,
-                )
-            except ResourceLimitError:
-                oracle = None
-                skipped += 1
-            if oracle is not None:
-                checked += 1
-                bad = oracle > analysis.dt.upper or (
-                    analysis.dt.exact and oracle > analysis.dt.lower
-                )
-                if bad:
-                    anomalies.append(
-                        {
-                            "trial": trial,
-                            "oracle": oracle,
-                            "tensor": analysis.dt.to_json(),
-                            "instances": analysis.violation_payload(),
-                        }
-                    )
+                violations.append({"trial": trial, "verdict": asdict(verdict)})
+        if analysis.product.rank > ORACLE_MAX_RANK:
+            continue
+        try:
+            oracle = brute_force_dimension(
+                analysis.product, ORACLE_BOUND, node_limit=ORACLE_NODE_LIMIT
+            )
+        except ResourceLimitError:
+            skipped += 1
+            continue
+        checked += 1
+        if oracle > analysis.dt.upper:
+            anomalies.append(
+                {
+                    "trial": trial,
+                    "oracle": oracle,
+                    "tensor": analysis.dt.to_json(),
+                    "instances": analysis.violation_payload(),
+                }
+            )
     return Report(config, tallies, violations, anomalies, checked, skipped)

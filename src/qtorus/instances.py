@@ -24,12 +24,39 @@ def _fail(where: str, message: str):
     raise InstanceFormatError(f"{where}: {message}")
 
 
+def integer(value, where: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` if it is an integer in [low, high), else a format error at ``where``.
+
+    JSON booleans and floats such as 2.5 or 2.0 are rejected, not truncated.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        _fail(where, f"expected an integer, got {value!r}")
+    if low is not None and value < low:
+        _fail(where, f"expected an integer >= {low}, got {value!r}")
+    if high is not None and value >= high:
+        _fail(where, f"expected an integer in [{low}, {high}), got {value!r}")
+    return value
+
+
+def scalar(group: ValueGroup, doc: dict, where: str, key: str = "exponents") -> GroupElement:
+    """The value-group element that ``doc[key]`` (generator name -> integer
+    exponent) and ``doc["torsion"]`` (an integer in [0, torsion order)) name."""
+    exponents = doc.get(key, {})
+    if not isinstance(exponents, dict):
+        _fail(f"{where}.{key}", "expected an object mapping generator name to integer")
+    free = [0] * group.free_rank
+    for name, exp in exponents.items():
+        if name not in group.free_names:
+            _fail(f"{where}.{key}", f"unknown generator {name!r}")
+        free[group.free_names.index(name)] = integer(exp, f"{where}.{key}.{name}")
+    torsion = integer(doc.get("torsion", 0), f"{where}.torsion", 0, group.torsion_order)
+    return GroupElement(group, tuple(free), torsion)
+
+
 def parse_dict(doc) -> MultiparameterMatrix:
     if not isinstance(doc, dict):
         _fail("document", "expected a JSON object")
-    rank = doc.get("rank")
-    if not isinstance(rank, int) or rank < 1:
-        _fail("rank", f"expected an integer >= 1, got {rank!r}")
+    rank = integer(doc.get("rank"), "rank", 1)
     vg_doc = doc.get("value_group")
     if not isinstance(vg_doc, dict):
         _fail("value_group", "expected an object with 'free' and 'torsion_order'")
@@ -38,9 +65,7 @@ def parse_dict(doc) -> MultiparameterMatrix:
         _fail("value_group.free", "expected a list of nonempty generator names")
     if len(set(free)) != len(free):
         _fail("value_group.free", "generator names must be distinct")
-    torsion_order = vg_doc.get("torsion_order", 1)
-    if not isinstance(torsion_order, int) or torsion_order < 1:
-        _fail("value_group.torsion_order", f"expected an integer >= 1, got {torsion_order!r}")
+    torsion_order = integer(vg_doc.get("torsion_order", 1), "value_group.torsion_order", 1)
     group = ValueGroup(tuple(free), torsion_order)
 
     entries = doc.get("lambda", [])
@@ -51,27 +76,12 @@ def parse_dict(doc) -> MultiparameterMatrix:
         where = f"lambda[{pos}]"
         if not isinstance(item, dict):
             _fail(where, "expected an object")
-        i, j = item.get("i"), item.get("j")
-        if not isinstance(i, int) or not isinstance(j, int):
-            _fail(where, "'i' and 'j' must be integers")
+        i, j = integer(item.get("i"), where + ".i"), integer(item.get("j"), where + ".j")
         if not (1 <= i < j <= rank):
             _fail(where, f"need 1 <= i < j <= rank, got i={i}, j={j} with rank {rank}")
         if (i, j) in upper:
             _fail(where, f"duplicate entry for ({i},{j})")
-        exponents = item.get("exponents", {})
-        if not isinstance(exponents, dict):
-            _fail(where + ".exponents", "expected an object mapping generator name to integer")
-        free_part = [0] * len(free)
-        for name, exp in exponents.items():
-            if name not in free:
-                _fail(where + ".exponents", f"unknown generator {name!r}")
-            if not isinstance(exp, int):
-                _fail(where + ".exponents", f"exponent of {name!r} must be an integer")
-            free_part[free.index(name)] = exp
-        torsion = item.get("torsion", 0)
-        if not isinstance(torsion, int) or not (0 <= torsion < torsion_order):
-            _fail(where + ".torsion", f"expected an integer in [0, {torsion_order}), got {torsion!r}")
-        upper[(i, j)] = GroupElement(group, tuple(free_part), torsion)
+        upper[(i, j)] = scalar(group, item, where)
     return MultiparameterMatrix.from_upper(rank, group, upper)
 
 

@@ -180,13 +180,11 @@ def max_isotropic_single(M, n: int) -> list:
 
 
 def single_form_dimension(M) -> tuple[int, Sublattice]:
-    """Maximal isotropic rank n - skew_rank(M) of one alternating form, with witness."""
+    """Maximal isotropic rank n - skew_rank(M) of one alternating form, with
+    witness: the closed form of ``_level``, which certifies that rank."""
     n = len(M)
-    r = skew_rank(M)
-    witness = Sublattice.span(n, max_isotropic_single(M, n))
-    if witness.rank != n - r:
-        raise AssertionError("isotropic construction missed the closed-form rank")
-    return n - r, witness
+    closed = _level(_span_basis([M], n), n)[3]
+    return len(closed), Sublattice.span(n, closed)
 
 
 # ---------------------------------------------------------------------------

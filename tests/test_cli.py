@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from qtorus.cli import main
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -145,3 +147,30 @@ def test_time_budget_zero_is_inconclusive(tmp_path):
     run_cli("tensor", str(a), str(b), "-o", str(t))
     res = run_cli("dim", str(t), "--require-exact", "--time-budget", "0")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args,field",
+    [
+        (("restrict", "--generators", "[[2.5,0,0],[0,1,0]]"), "--generators[0][0]"),
+        (("restrict", "--generators", "[[1,0]]"), "--generators[0]"),
+        (("element-mul", "--left", '[{"exponent": [0.5, 0, 0]}]'), "--left[0].exponent[0]"),
+        (
+            ("element-mul", "--left", '[{"exponent": [0, 1, 0], "scalar": {"q_1_2": 2.5}}]'),
+            "--left[0].scalar.q_1_2",
+        ),
+        (("element-mul", "--left", '[{"exponent": [0, 1, 0], "torsion": "x"}]'), "--left[0].torsion"),
+        (("element-mul", "--left", '[{"exponent": [0, 1, 0], "scalar": [1]}]'), "--left[0].scalar"),
+    ],
+    ids=["restrict-float", "restrict-short-row", "exponent-float", "scalar-float", "torsion-text", "scalar-list"],
+)
+def test_command_line_json_is_checked(ind3, capsys, args, field):
+    # Malformed values are refused with the field named, never truncated
+    # or left to raise a traceback.
+    command, *rest = args
+    if command == "element-mul":
+        rest += ["--right", '[{"exponent": [1, 0, 0]}]']
+    assert main([command, str(ind3), *rest, "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(field + ":")

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import pytest
@@ -204,3 +206,184 @@ def test_concatenated_factor_witnesses_commute(config):
             product = tensor(lam1, lam2, mode)
             assert is_commutative(pairing_of(product), concat)
             assert dimension(product, config.solver).lower >= concat.rank
+
+
+# ---------------------------------------------------------------------------
+# golden campaign bytes
+
+GOLDEN_CAMPAIGNS = [
+    (
+        CampaignConfig(trials=60, seed=7),
+        "488cd17bba9b289701d97b8303067af5d713d95f5389b2cb52cdd626c109ccce",
+    ),
+    (
+        CampaignConfig(trials=40, seed=3, max_rank=5, max_free=3),
+        "52c088b14659085fd9992666b9748811fdaf4ea7f4b8f66ac303dcb6b92fee42",
+    ),
+    (
+        CampaignConfig(trials=40, seed=11, max_rank=4, max_free=3, torsion=3),
+        "1a5d7dea96310d0e8d269f32daf45263af482cf2fe6847730fd34122ac893967",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config,digest", GOLDEN_CAMPAIGNS, ids=["defaults-7", "rank5-3", "torsion3-11"]
+)
+def test_campaign_report_bytes_are_pinned(config, digest):
+    # The rank-5 campaign decides StrictUpperBound and AdditivityCodim2 five
+    # times each and skips the oracle once, so every checker and both oracle
+    # outcomes feed the pinned bytes.
+    text = json.dumps(run_campaign(config).to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# every verdict, violated ones included, against reference comparison ladders
+#
+# No campaign reaches a violated verdict, since every statement is a
+# theorem.  A stub analysis with chosen factor dims, ranks, center flag and
+# tensor interval drives each checker through every interval instead, and
+# the ladders below state each law as explicit threshold comparisons.
+
+
+INEXACT = {"reason": "factor dims inexact"}
+
+
+def _ladder_superadditivity(exact, d1, d2, r1, r2, centers, lo, hi):
+    if not exact:
+        return "Superadditivity", True, "inconclusive", {}
+    target = d1 + d2
+    if lo >= target:
+        return "Superadditivity", True, "holds", {"target": target}
+    if hi < target:
+        return "Superadditivity", True, "violated", {"target": target}
+    return "Superadditivity", True, "inconclusive", {"target": target}
+
+
+def _ladder_upper_bound(exact, d1, d2, r1, r2, centers, lo, hi):
+    if not exact:
+        return "UpperBound", False, "inconclusive", INEXACT
+    rhs = min(d1 + r2, d2 + r1)
+    met = d1 < r1 and d2 < r2
+    statement = "UpperBound" if met else "WeakUpperBound"
+    bound = rhs - 1 if met else rhs
+    extra = {"rhs": rhs, "bound": bound}
+    if hi <= bound:
+        return statement, met, "holds", extra
+    if lo > bound:
+        return statement, met, "violated", extra
+    return statement, met, "inconclusive", extra
+
+
+def _ladder_strict(exact, d1, d2, r1, r2, centers, lo, hi):
+    if not exact:
+        return "StrictUpperBound", False, "inconclusive", INEXACT
+    met = d1 >= 2 and d2 >= 2 and r1 - d1 >= 2 and r2 - d2 >= 2 and centers
+    if not met:
+        return "StrictUpperBound", False, "inconclusive", {"reason": "hypotheses not met"}
+    rhs = min(d1 + r2, d2 + r1)
+    extra = {"rhs": rhs, "strict_bound": rhs - 1}
+    if hi <= rhs - 2:
+        return "StrictUpperBound", True, "holds", extra
+    if lo >= rhs - 1:
+        return "StrictUpperBound", True, "violated", extra
+    return "StrictUpperBound", True, "inconclusive", extra
+
+
+def _ladder_additivity(exact, d1, d2, r1, r2, centers, lo, hi):
+    if not exact:
+        return "AdditivityCodimLE1", False, "inconclusive", INEXACT
+    codim1, codim2 = r1 - d1, r2 - d2
+    if r1 == 2 and r2 == 2:
+        statement = "WeylAnalogue"
+    elif min(codim1, codim2) <= 1:
+        statement = "AdditivityCodimLE1"
+    elif min(codim1, codim2) == 2 and d1 >= 2 and d2 >= 2 and centers:
+        statement = "AdditivityCodim2"
+    else:
+        return "AdditivityCodimLE1", False, "inconclusive", {"reason": "no additivity criterion applies"}
+    target = d1 + d2
+    if lo >= target and hi <= target:
+        return statement, True, "holds", {"target": target}
+    if hi < target or lo > target:
+        return statement, True, "violated", {"target": target}
+    return statement, True, "inconclusive", {"target": target}
+
+
+LADDERS = {
+    check_superadditivity: _ladder_superadditivity,
+    check_upper_bound: _ladder_upper_bound,
+    check_strict: _ladder_strict,
+    check_additivity: _ladder_additivity,
+}
+
+
+class _StubInterval:
+    def __init__(self, lower, upper):
+        self.lower, self.upper, self.exact = lower, upper, lower == upper
+
+    def to_json(self):
+        return {"lower": self.lower, "upper": self.upper, "exact": self.exact}
+
+
+class _StubAnalysis:
+    """The facts a checker reads from a PairAnalysis, chosen freely."""
+
+    def __init__(self, dim1, dim2, r1, r2, centers, lo, hi):
+        self.d1, self.d2 = _StubInterval(*dim1), _StubInterval(*dim2)
+        self.r1, self.r2 = r1, r2
+        self.centers_trivial = centers
+        self.dt = _StubInterval(lo, hi)
+
+    def factors_exact(self):
+        return self.d1.exact and self.d2.exact
+
+    def base_data(self):
+        return {"rank1": self.r1, "rank2": self.r2, "tensor": self.dt.to_json()}
+
+    def violation_payload(self):
+        return {"stub": True}
+
+
+def _factor_intervals(r):
+    """Every exact dimension of a rank-r factor, plus one open interval."""
+    return [(d, d) for d in range(1, r + 1)] + ([(1, r)] if r > 1 else [])
+
+
+def _grid():
+    """Factor dims (exact, or one open interval), ranks 1..5, both center
+    flags, and every tensor interval 1 <= lo <= hi <= r1 + r2."""
+    for r1, r2 in itertools.product(range(1, 6), repeat=2):
+        for dim1, dim2 in itertools.product(_factor_intervals(r1), _factor_intervals(r2)):
+            for centers in (True, False):
+                for hi in range(1, r1 + r2 + 1):
+                    for lo in range(1, hi + 1):
+                        yield dim1, dim2, r1, r2, centers, lo, hi
+
+
+def test_every_verdict_matches_the_comparison_ladders():
+    # Real factors whose centers agree with the stub's flag, so a checker
+    # that reads the centers from its arguments sees the same value.
+    factors = {True: (bq(), bq()), False: (gen_commutative(1), bq())}
+    own_keys = {"rank1", "rank2", "tensor", "instances"}
+    seen = {checker: set() for checker in LADDERS}
+    for dim1, dim2, r1, r2, centers, lo, hi in _grid():
+        a = _StubAnalysis(dim1, dim2, r1, r2, centers, lo, hi)
+        exact = a.factors_exact()
+        lam1, lam2 = factors[centers]
+        for checker, ladder in LADDERS.items():
+            v = checker(lam1, lam2, analysis=a)
+            extra = {k: x for k, x in v.data.items() if k not in own_keys}
+            got = (v.statement, v.hypotheses_met, v.conclusion, extra)
+            want = ladder(exact, dim1[0], dim2[0], r1, r2, centers, lo, hi)
+            assert got == want, (checker.__name__, dim1, dim2, r1, r2, centers, lo, hi)
+            assert ("instances" in v.data) == (v.conclusion == "violated")
+            seen[checker].add((v.statement, v.conclusion))
+    for checker in LADDERS:
+        assert {c for _, c in seen[checker]} == {"holds", "violated", "inconclusive"}
+    assert ("UpperBound", "violated") in seen[check_upper_bound]
+    assert ("WeakUpperBound", "violated") in seen[check_upper_bound]
+    assert ("StrictUpperBound", "violated") in seen[check_strict]
+    for statement in ("WeylAnalogue", "AdditivityCodimLE1", "AdditivityCodim2"):
+        assert (statement, "violated") in seen[check_additivity]
