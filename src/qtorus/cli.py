@@ -49,6 +49,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _emit(doc, args) -> None:
     if getattr(args, "json", False):
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -66,8 +81,10 @@ def _solver_options(args) -> SolverOptions:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--bound", type=int, default=2, help="search box half-width")
-    p.add_argument("--combo-samples", type=int, default=64, help="pencil combinations to sample")
+    p.add_argument("--bound", type=_at_least(0), default=2, help="search box half-width")
+    p.add_argument(
+        "--combo-samples", type=_at_least(0), default=64, help="pencil combinations to sample"
+    )
     p.add_argument(
         "--time-budget",
         type=float,
@@ -291,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("independent", "random", "transpose-pair", "commutative"),
         required=True,
     )
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--free", type=int, default=1, help="free generators (random kind)")
-    p.add_argument("--torsion", type=int, default=1, help="torsion order (random kind)")
-    p.add_argument("--exponent-bound", type=int, default=2)
+    p.add_argument("--rank", type=_at_least(1), required=True)
+    p.add_argument("--free", type=_at_least(0), default=1, help="free generators (random kind)")
+    p.add_argument("--torsion", type=_at_least(1), default=1, help="torsion order (random kind)")
+    p.add_argument("--exponent-bound", type=_at_least(0), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.add_argument("--out2", help="second output file for transpose-pair")
@@ -302,11 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("verify", help="randomized campaign over all checkers")
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_at_least(0), default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rank", type=int, default=3)
-    p.add_argument("--max-free", type=int, default=2)
-    p.add_argument("--exponent-bound", type=int, default=2)
+    p.add_argument("--max-rank", type=_at_least(1), default=3)
+    p.add_argument("--max-free", type=_at_least(0), default=2)
+    p.add_argument("--exponent-bound", type=_at_least(0), default=2)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -17,7 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .pairing import MultiparameterMatrix, PairingError
-from .valuegroup import GroupElement
+from .valuegroup import GroupElement, as_integer
+
+
+def _integers(xs, what: str) -> tuple[int, ...]:
+    return tuple(as_integer(x, what, PairingError) for x in xs)
 
 
 def cocycle(mat: MultiparameterMatrix, a, b) -> GroupElement:
@@ -60,7 +64,11 @@ class TwistedElement:
             c = Fraction(c)
             if c == 0:
                 continue
-            key = (tuple(int(x) for x in a), tuple(int(x) for x in v), int(t))
+            key = (
+                _integers(a, "exponent"),
+                _integers(v, "scalar exponent"),
+                as_integer(t, "torsion", PairingError),
+            )
             clean[key] = clean.get(key, Fraction(0)) + c
         object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c != 0})
 
@@ -72,7 +80,7 @@ class TwistedElement:
         scalar: GroupElement | None = None,
     ) -> "TwistedElement":
         scalar = scalar if scalar is not None else context.value_group.identity()
-        key = (tuple(int(x) for x in exponent), scalar.free, scalar.torsion)
+        key = (_integers(exponent, "exponent"), scalar.free, scalar.torsion)
         return TwistedElement(context, {key: Fraction(coefficient)})
 
     @staticmethod

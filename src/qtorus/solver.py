@@ -18,16 +18,12 @@ budget can therefore cost exactness but never correctness.
 The solver reads only the integer forms of the commutator pairing.  The
 top level and every search level take one step (``_level``): split off the
 common kernel of the forms, restrict them to a complement, and close the
-level in closed form when at most one form is left.  The tensor-splitting
-certificate solves each block on the forms sliced to its generators.
-
-A search level whose forms span every alternating form on Q^m (m >= 3)
-is not scanned.  The wedge count there leaves room for rank 1 only above
-the level's radical, the first candidate of the stream reaches it, and the
-scan would skip every later one.  The level is still charged the one node
-per candidate that the scan spends (the box is counted, not enumerated),
-so budgets run out where they would have, and every answer, witness and
-budget-limited interval is the one the scan gives.
+level when a count settles it: at most one form left (closed form), or
+forms spanning every alternating form on Q^m with m >= 3 (the wedge count
+leaves room for one vector above the radical).  Only the other levels are
+scanned, and each node of the budget is one candidate tried.  The
+tensor-splitting certificate solves each block on the forms sliced to its
+generators.
 
 Torsion scalars never change the answer: if a sublattice B is isotropic for
 the free forms, then m*B (same rank) is isotropic for the full pairing
@@ -96,7 +92,7 @@ class _Budget:
 
     The node budget is the primary limit so that identical inputs explore
     identical search trees; the time budget only guards against pathological
-    instances.
+    instances.  One node is one search candidate tried.
     """
 
     def __init__(self, opts: SolverOptions):
@@ -104,25 +100,17 @@ class _Budget:
         self.deadline = time.monotonic() + opts.time_budget
         self.exhausted = False
 
-    def spend(self, count: int = 1) -> bool:
-        """Charge ``count`` nodes; True while the budget is not exhausted.
+    def spend(self) -> bool:
+        """Charge one node; True while the budget is not exhausted.
 
-        Each node lowers ``nodes_left`` by one, and the node that brings it
-        to 0 or below exhausts the budget; nodes charged after that change
-        nothing.  The wall clock is read once, at the end.
+        The node that brings ``nodes_left`` to 0 or below exhausts the
+        budget, as does a node charged past the deadline; nodes charged
+        after that change nothing.
         """
-        if count <= 0:
-            return True
         if self.exhausted:
             return False
-        # The j-th node fails once nodes_left - j <= 0; later ones change nothing.
-        failing = max(self.nodes_left, 1)
-        if count >= failing:
-            self.nodes_left -= failing
-            self.exhausted = True
-            return False
-        self.nodes_left -= count
-        if time.monotonic() > self.deadline:
+        self.nodes_left -= 1
+        if self.nodes_left <= 0 or time.monotonic() > self.deadline:
             self.exhausted = True
             return False
         return True
@@ -321,31 +309,6 @@ def _box_vectors(n: int, bound: int):
             yield v
 
 
-def _mobius(d: int) -> int:
-    mu, p = 1, 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if d > 1 else mu
-
-
-def _box_count(n: int, bound: int) -> int:
-    """How many vectors ``_box_vectors(n, bound)`` yields, without enumerating them.
-
-    The (2b+1)^n - 1 nonzero vectors of [-b, b]^n are the multiples d*w of
-    the primitive w in [-b//d, b//d]^n, so Mobius inversion over the content
-    d counts the primitive ones; half of them have a positive leading entry.
-    """
-    primitive_count = sum(
-        _mobius(d) * ((2 * (bound // d) + 1) ** n - 1) for d in range(1, bound + 1)
-    )
-    return primitive_count // 2
-
-
 _CHUNK = 128
 
 
@@ -396,31 +359,24 @@ def _candidate_stream(forms: list, n: int, opts: SolverOptions):
         yield from ranked(chunk)
 
 
-def _uniform_stream(forms: list, n: int, opts: SolverOptions):
-    """First vector and length of ``_candidate_stream`` when every score ties.
-
-    With equal dimensions the per-chunk sort keeps enumeration order, so the
-    first vector is the first structured seed, else the first box vector.
-    The length counts the box without enumerating it and drops the seeds
-    that the box repeats (seeds are primitive with a positive lead).
-    """
-    seeds = _structured_candidates(forms, n)
-    bound = opts.search_bound
-    first = seeds[0] if seeds else next(_box_vectors(n, bound), None)
-    repeats = sum(1 for v in seeds if max(map(abs, v)) <= bound)
-    return first, len(seeds) + _box_count(n, bound) - repeats
-
-
 def _level(forms: list, n: int):
-    """One level's step: split off the radical, restrict, close one form.
+    """One level's step: split off the radical, restrict, close what a count settles.
 
     ``forms`` are independent (``_span_basis``).  Returns ``(K, C, qforms,
     closed)``: K spans the common kernel of the forms, C completes it to a
     basis of Z^n, and ``qforms`` are the independent restrictions of the
-    forms to C.  Every maximal isotropic sublattice contains K, so with at
-    most one form left the level is exact: ``closed`` holds the rows of K
-    and of a maximal isotropic sublattice of that form, of rank
-    len(C) - skew_rank.  With two or more forms left it is None.
+    forms to C.  Every maximal isotropic sublattice contains K, so the
+    level is exact in two cases, and ``closed`` holds the rows of a
+    maximal isotropic sublattice:
+
+    * at most one form left: K and a maximal isotropic sublattice of that
+      form, of rank len(C) - skew_rank;
+    * forms spanning every alternating form on Q^len(C) (len(C) >= 3): K
+      and C[0], of rank len(K) + 1.  The wedge count caps the level at that
+      rank, and a single vector pairs trivially with itself under every
+      form.
+
+    Otherwise ``closed`` is None and the level is searched.
     """
     if forms:
         K, C = kernel_with_complement([row for M in forms for row in M])
@@ -429,6 +385,8 @@ def _level(forms: list, n: int):
     mq = len(C)
     qforms = _span_basis([congruence(C, M) for M in forms], mq)
     if len(qforms) > 1:
+        if _wedge_upper(len(qforms), mq) == 1:
+            return K, C, qforms, [*K, C[0]]
         return K, C, qforms, None
     W = max_isotropic_single(qforms[0], mq) if qforms else identity(mq)
     if len(W) != mq - (skew_rank(qforms[0]) if qforms else 0):
@@ -443,21 +401,12 @@ class _Searcher:
     forms, so each level strips that kernel, restricts to a complement
     (``_level``), and branches on the first vector of the remaining
     witness; the chosen vector's orthogonal complement becomes the next
-    level's lattice.  Candidates arrive ranked by complement dimension
-    alone, and a complement basis is built only for a branch that can
-    still beat the best rank found.  All coordinates are exact, so
-    witnesses survive unbounded entry growth even though each level only
-    enumerates small coordinate vectors.
-
-    A level whose forms span every alternating form is not scanned.  There
-    the wedge bound is 1, and each candidate's complement has rank 1: its
-    pairing rows v M span the functionals vanishing on v.  So the first
-    candidate reaches r0 + 1 and the scan only charges the rest one node
-    each.  The closed form takes the same first candidate and charges the
-    budget those nodes at once (``_Budget.spend``), keeping the
-    ``best >= target`` stop, the ``complete`` flag and the memo rule of the
-    scan.  A plain break without the charge would leave more nodes for
-    other levels and change answers that the node budget limits.
+    level's lattice.  Levels that ``_level`` closes are not scanned, so a
+    node of the budget is one candidate tried.  Candidates arrive ranked by
+    complement dimension alone, and a complement basis is built only for a
+    branch that can still beat the best rank found.  All coordinates are
+    exact, so witnesses survive unbounded entry growth even though each
+    level only enumerates small coordinate vectors.
     """
 
     def __init__(self, opts: SolverOptions, budget: _Budget):
@@ -481,38 +430,24 @@ class _Searcher:
         r0, mq = len(K), len(C)
         best_rank, best_rows = r0, K
         complete = True
-        if _wedge_upper(len(qforms), mq) == 1:
-            # Every alternating form on Q^mq (mq >= 3): the scan's outcome,
-            # in closed form (see the class docstring).
-            v, size = _uniform_stream(qforms, mq, self.opts)
-            if size and best_rank < target and self.budget.spend():
-                comp, _ = kernel_with_complement([matmul([v], M)[0] for M in qforms])
-                if len(comp) != 1:
-                    raise AssertionError("all-forms level left a complement of rank != 1")
-                best_rank, best_rows = r0 + 1, [*K, *matmul(comp, C)]
-                if size > 1 and (best_rank >= target or not self.budget.spend(size - 1)):
-                    complete = False
-            elif size:
+        for _, vrows, dim in _candidate_stream(qforms, mq, self.opts):
+            if best_rank >= target:
                 complete = False
-        else:
-            for _, vrows, dim in _candidate_stream(qforms, mq, self.opts):
-                if best_rank >= target:
-                    complete = False
-                    break
-                if not self.budget.spend():
-                    complete = False
-                    break
-                if r0 + dim <= best_rank:
-                    continue
-                comp, _ = kernel_with_complement(vrows)
-                if len(comp) != dim:
-                    raise AssertionError("complement rank differs from its ranked dimension")
-                sforms = [congruence(comp, M) for M in qforms]
-                sub_rank, sub_rows, sub_complete = self._solve(sforms, dim, target - r0)
-                complete = complete and sub_complete
-                if r0 + sub_rank > best_rank:
-                    best_rank = r0 + sub_rank
-                    best_rows = [*K, *matmul(matmul(sub_rows, comp), C)]
+                break
+            if not self.budget.spend():
+                complete = False
+                break
+            if r0 + dim <= best_rank:
+                continue
+            comp, _ = kernel_with_complement(vrows)
+            if len(comp) != dim:
+                raise AssertionError("complement rank differs from its ranked dimension")
+            sforms = [congruence(comp, M) for M in qforms]
+            sub_rank, sub_rows, sub_complete = self._solve(sforms, dim, target - r0)
+            complete = complete and sub_complete
+            if r0 + sub_rank > best_rank:
+                best_rank = r0 + sub_rank
+                best_rows = [*K, *matmul(matmul(sub_rows, comp), C)]
         if self.budget.exhausted:
             complete = False
         result = (best_rank, best_rows, complete)
@@ -527,13 +462,16 @@ class _Searcher:
 
 
 def _components(p: Pairing) -> list[tuple[int, ...]]:
-    """Connected components of generators under 'does not commute with'.
+    """Connected components of generators under 'some free form pairs them'.
 
-    Generators i and j commute when every form, the torsion form included,
-    vanishes on them.
+    The torsion form is left out, which is sound: if B is isotropic for the
+    free forms, then m*B (same rank) is isotropic for the full pairing, so
+    the dimension is that of the algebra of the free forms alone, and that
+    algebra is the tensor product of its blocks on these components.
+    ``_dimension`` rescales the joined witness by m where torsion needs it.
     """
     n = p.rank
-    forms = (*p.free_forms, p.torsion_form)
+    forms = p.free_forms
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -582,10 +520,12 @@ def _split_certificate(
 ) -> tuple[int, int, list[list[int]]]:
     """Bounds from the block decomposition of a visibly split pairing.
 
-    Generators in different components commute, so the algebra is the
-    tensor product of the component subalgebras: concatenated component
-    witnesses give the lower bound, and folding the component intervals
-    through the two-factor bound over all bipartitions gives the upper.
+    No free form pairs generators of different components, so the algebra
+    of the free forms, which has the same dimension (see ``_components``),
+    is the tensor product of the component subalgebras: concatenated
+    component witnesses give the lower bound, and folding the component
+    intervals through the two-factor bound over all bipartitions gives the
+    upper.
     """
     infos = []
     for comp in comps:

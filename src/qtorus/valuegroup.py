@@ -8,12 +8,21 @@ of a field's unit group is cyclic).  Elements are written additively.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import lcm
 
 
 class ValueGroupError(ValueError):
     pass
+
+
+def as_integer(x, what: str, error: type[ValueError] = ValueGroupError) -> int:
+    """``x`` as an int; a non-integer raises ``error`` naming it, never truncates."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -41,7 +50,7 @@ class ValueGroup:
         return GroupElement(self, (0,) * self.free_rank, 0)
 
     def element(self, free=None, torsion: int = 0) -> "GroupElement":
-        free = tuple(int(x) for x in (free or ()))
+        free = tuple(free or ())
         if len(free) < self.free_rank:
             free = free + (0,) * (self.free_rank - len(free))
         return GroupElement(self, free, torsion)
@@ -62,8 +71,9 @@ class GroupElement:
     def __post_init__(self):
         if len(self.free) != self.group.free_rank:
             raise ValueGroupError("free part has wrong length for the value group")
-        object.__setattr__(self, "free", tuple(int(x) for x in self.free))
-        object.__setattr__(self, "torsion", int(self.torsion) % self.group.torsion_order)
+        object.__setattr__(self, "free", tuple(as_integer(x, "exponent") for x in self.free))
+        torsion = as_integer(self.torsion, "torsion")
+        object.__setattr__(self, "torsion", torsion % self.group.torsion_order)
 
     def _check(self, other: "GroupElement"):
         if self.group != other.group:
@@ -84,7 +94,7 @@ class GroupElement:
         return self + (-other)
 
     def __rmul__(self, k: int) -> "GroupElement":
-        k = int(k)
+        k = as_integer(k, "multiplier")
         return GroupElement(self.group, tuple(k * a for a in self.free), k * self.torsion)
 
     def is_identity(self) -> bool:

@@ -174,3 +174,31 @@ def test_command_line_json_is_checked(ind3, capsys, args, field):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(field + ":")
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (("generate", "--kind", "independent", "--rank", "0"), "--rank"),
+        (("generate", "--kind", "random", "--rank", "2", "--free", "-1"), "--free"),
+        (("generate", "--kind", "random", "--rank", "2", "--torsion", "0"), "--torsion"),
+        (("generate", "--kind", "random", "--rank", "2", "--exponent-bound", "-1"), "--exponent-bound"),
+        (("verify", "--trials", "-3"), "--trials"),
+        (("verify", "--trials", "2", "--max-rank", "0"), "--max-rank"),
+        (("verify", "--trials", "2", "--max-free", "-1"), "--max-free"),
+        (("verify", "--trials", "2", "--exponent-bound", "-1"), "--exponent-bound"),
+        (("dim", "{ind3}", "--bound", "-1"), "--bound"),
+        (("codim", "{ind3}", "--combo-samples", "-5"), "--combo-samples"),
+    ],
+    ids=[
+        "rank", "free", "torsion", "generate-exponent-bound",
+        "trials", "max-rank", "max-free", "verify-exponent-bound",
+        "bound", "combo-samples",
+    ],
+)
+def test_out_of_range_flags_are_usage_errors(ind3, capsys, args, flag):
+    args = [a.format(ind3=ind3) for a in args]
+    assert main([*args, "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: must be >= " in err

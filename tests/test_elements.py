@@ -163,3 +163,14 @@ def test_render():
     assert x.render() == "-3/2 * q^1 * X1^1 * X2^2"
     assert TwistedElement.zero(mat).render() == "0"
     assert TwistedElement.one(mat).render() == "1"
+
+
+def test_non_integer_exponents_are_refused():
+    # never truncated to an integer
+    mat = bq()
+    with pytest.raises(PairingError, match="got 0.5$"):
+        TwistedElement.monomial(mat, [0.5, 1])
+    with pytest.raises(PairingError, match="got 1.5$"):
+        TwistedElement(mat, {((0, 1), (1.5,), 0): 1})
+    with pytest.raises(PairingError, match="got 2.0$"):
+        TwistedElement(mat, {((0, 1), (1,), 2.0): 1})

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import pytest
 
+from qtorus.elements import commutator_units
 from qtorus.harness import (
     CampaignConfig,
     _trial_pair,
+    diagonal_sublattice,
     gen_commutative,
     gen_independent,
     gen_random,
@@ -25,10 +27,9 @@ from qtorus.solver import (
     InexactDimensionError,
     ResourceLimitError,
     SolverOptions,
-    _box_count,
-    _box_vectors,
     _Budget,
     _candidate_stream,
+    _level,
     _Searcher,
     brute_force_dimension,
     codimension,
@@ -126,11 +127,13 @@ def test_dimension_independent_parameters(n):
     assert (res.lower, res.upper, res.exact) == (1, 1, True)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_dimension_transpose_tensor(n):
     lam, lam_t = gen_transpose_pair(n)
     res = dimension(tensor(lam, lam_t, "shared"))
     assert (res.lower, res.upper, res.exact) == (n, n, True)
+    if n >= 3:
+        assert res.witness == diagonal_sublattice(n)
 
 
 def test_dimension_two_elementary_forms():
@@ -233,31 +236,30 @@ GOLDEN = {
         "witness": [[1 if j % 5 == i else 0 for j in range(10)] for i in range(5)],
     },
     # shared n >= 5 runs through levels whose forms span every alternating
-    # form; at these node budgets the budget runs out inside such levels, so
-    # the answers pin how many nodes each of them is charged.
+    # form; ``_level`` closes them without a node, so small budgets suffice.
     ("shared", 6): {
-        "lower": 2,
+        "lower": 6,
         "upper": 6,
-        "exact": False,
-        "witness": [[0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]],
+        "exact": True,
+        "witness": [[1 if j % 6 == i else 0 for j in range(12)] for i in range(6)],
     },
     ("shared", 5, 300): {
-        "lower": 2,
+        "lower": 5,
         "upper": 5,
-        "exact": False,
-        "witness": [[0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]],
+        "exact": True,
+        "witness": [[1 if j % 5 == i else 0 for j in range(10)] for i in range(5)],
     },
     ("shared", 5, 2000): {
-        "lower": 2,
+        "lower": 5,
         "upper": 5,
-        "exact": False,
-        "witness": [[0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 1, 0, 0]],
+        "exact": True,
+        "witness": [[1 if j % 5 == i else 0 for j in range(10)] for i in range(5)],
     },
     ("disjoint", 3): {
         "lower": 2,
         "upper": 3,
         "exact": False,
-        "witness": [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]],
+        "witness": [[0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]],
     },
     ("random", 5, 1): {
         "lower": 2,
@@ -292,11 +294,12 @@ GOLDEN = {
         "witness": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]],
     },
     # shared n = 3 over a torsion-3 group with lambda_14 = zeta: the blocks are
-    # linked by torsion alone, so no split certificate applies
+    # linked by torsion alone, so the split certificate, which reads the free
+    # forms only, still applies
     ("torsion_link", 3): {
         "lower": 3,
-        "upper": 4,
-        "exact": False,
+        "upper": 3,
+        "exact": True,
         "witness": [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1]],
     },
 }
@@ -334,37 +337,35 @@ def test_dimension_golden_answers(case):
         mat = tensor(lam, lam_t, mode)
         if node_budget:
             opts = replace(opts, node_budget=node_budget[0])
-    assert dimension(mat, opts).to_json() == GOLDEN[case]
+    res = dimension(mat, opts)
+    assert res.to_json() == GOLDEN[case]
+    for a, b in itertools.combinations(res.witness.rows, 2):
+        assert commutator_units(mat, a, b).is_identity()
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_all_forms_level_charges_the_scan(n):
-    # Forms spanning every alternating form: each candidate's complement has
-    # rank 1, and the level must cost one node per candidate of the stream.
+    # Forms spanning every alternating form: the wedge count caps the level
+    # at rank 1, so ``_level`` closes it and the search tries no candidate.
     pairs = n * (n - 1) // 2
     forms = [
         tuple(map(tuple, alternating(n, [int(t == s) for t in range(pairs)])))
         for s in range(pairs)
     ]
+    K, C, qforms, closed = _level(forms, n)
+    assert (len(K), len(C), len(qforms)) == (0, n, pairs)
+    assert closed == [C[0]]
     opts = SolverOptions(time_budget=1e6)
-    stream = list(_candidate_stream(forms, n, opts))
-    assert {dim for _, _, dim in stream} == {1}
-    for extra in (1, 0):
-        budget = _Budget(replace(opts, node_budget=len(stream) + extra))
-        got, rows, complete = _Searcher(opts, budget)._solve(forms, n, n)
-        assert (got, len(rows)) == (1, 1)
-        assert complete == bool(extra)
-        assert budget.nodes_left == extra
-    # a target the first candidate meets stops the level after one node
-    budget = _Budget(opts)
-    assert _Searcher(opts, budget)._solve(forms, n, 1)[::2] == (1, False)
-    assert budget.nodes_left == opts.node_budget - 1
+    for node_budget in (1, opts.node_budget):
+        budget = _Budget(replace(opts, node_budget=node_budget))
+        assert _Searcher(opts, budget)._solve(forms, n, n) == (1, closed, True)
+        assert (budget.nodes_left, budget.exhausted) == (node_budget, False)
 
 
-@pytest.mark.parametrize("n", range(7))
-def test_box_count_matches_enumeration(n):
-    for bound in range(4):
-        assert _box_count(n, bound) == len(list(_box_vectors(n, bound)))
+def test_torsion_link_split_matches_oracle():
+    mat = torsion_linked_transpose_pair(3)
+    res = dimension(mat)
+    assert res.exact and res.lower == brute_force_dimension(mat, 1) == 3
 
 
 def _tick(state):
@@ -377,23 +378,14 @@ def _tick(state):
 
 
 def test_budget_spend_matches_ticks():
-    # spend() charges one node and spend(count) charges count of them, both
-    # exactly as the plain count-down of ``_tick``.
-    for nodes, count, drained in itertools.product(range(6), range(7), (False, True)):
+    # spend() charges one node exactly as the plain count-down of ``_tick``.
+    for nodes in range(6):
         spent = _Budget(SolverOptions(node_budget=nodes, time_budget=1e6))
         state = (nodes, False)
-        if drained:
-            ok = True
-            while ok:
-                state, ok = _tick(state)
-                assert spent.spend() == ok
-                assert (spent.nodes_left, spent.exhausted) == state
-        ok = True
-        for _ in range(count):
-            state, ticked = _tick(state)
-            ok = ok and ticked
-        assert spent.spend(count) == ok
-        assert (spent.nodes_left, spent.exhausted) == state
+        for _ in range(nodes + 2):
+            state, ok = _tick(state)
+            assert spent.spend() == ok
+            assert (spent.nodes_left, spent.exhausted) == state
 
 
 @pytest.mark.parametrize("seed", range(8))

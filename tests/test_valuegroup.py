@@ -99,3 +99,15 @@ def test_merge_embeddings_are_homomorphisms(a, b):
         eb = g.element(tuple(b[0]), b[1])
         assert embed(ea + eb, merged, emb) == embed(ea, merged, emb) + embed(eb, merged, emb)
         assert embed(ea, merged, emb).is_identity() == ea.is_identity()
+
+
+@pytest.mark.parametrize(
+    "free, torsion, value",
+    [([2.7], 1, "2.7"), ([2], 1.9, "1.9"), (["1"], 0, "'1'")],
+)
+def test_non_integer_parts_are_refused(free, torsion, value):
+    # never truncated to an integer
+    with pytest.raises(ValueGroupError, match=f"got {value}$"):
+        ValueGroup(("q",), 3).element(free, torsion)
+    with pytest.raises(ValueGroupError, match="got 0.5$"):
+        0.5 * ValueGroup(("q",), 3).generator("q")
