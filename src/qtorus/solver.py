@@ -10,7 +10,11 @@ is known, so the solver reports a certified interval:
   by a deterministic search, and
 * the upper bound is the minimum of several independently sound
   certificates (pencil ranks, an exterior-square dimension count, and a
-  tensor-splitting bound), each documented at its implementation.
+  tensor-splitting bound), each documented at its implementation.  The
+  tensor-splitting bound adds the blocks' upper bounds wherever the free
+  forms split by block (the scalar-split rule), so products of factors with
+  independent scalars, such as disjoint lambda (x) lambda^T, close with no
+  search.
 
 The ``exact`` flag is set only when the two meet.  Exhausting the search
 budget can therefore cost exactness but never correctness.
@@ -33,10 +37,12 @@ isotropic ranks is therefore computed from the free forms alone
 needed.
 
 Matrices are rows of Python ints (see ``lattice``).  numpy appears only in
-the brute-force oracle, which builds its int32 commutation table after an
-overflow check and a cap on the candidate count, then packs each row into
-a Python-int bitset; its search pools are int masks, and its independence
-test keeps integer annihilator rows of the chosen span, exact over Q.
+the brute-force oracle, which imports it when called, so importing the
+package does not load it.  The oracle builds its int32 commutation table
+after an overflow check and a cap on the candidate count, then packs each
+row into a Python-int bitset; its search pools are int masks, and its
+independence test keeps integer annihilator rows of the chosen span, exact
+over Q.
 """
 
 from __future__ import annotations
@@ -47,8 +53,6 @@ import time
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
-
-import numpy as np
 
 from .lattice import (
     Sublattice,
@@ -524,8 +528,23 @@ def _split_certificate(
     of the free forms, which has the same dimension (see ``_components``),
     is the tensor product of the component subalgebras: concatenated
     component witnesses give the lower bound, and folding the component
-    intervals through the two-factor bound over all bipartitions gives the
-    upper.
+    intervals over all bipartitions s1 | s2 of each subset of components
+    gives the upper.  Each bipartition contributes the two-factor bound
+    ``_pair_bound`` and, when the scalars split by block, the sum h1 + h2
+    of the two sides' upper bounds.
+
+    The scalar-split rule is sound: every free form is block-diagonal
+    across components, so its restriction F|s to a subset s is its blocks
+    on s, and the fold table records span(s), the dimension of the span of
+    the restricted forms.  span(s1 u s2) is at most span(s1) + span(s2),
+    with equality exactly when the span of the forms on s1 u s2 is the
+    direct sum of the spans of their restrictions; then each F|s1 (+) 0
+    lies in the rational span of the forms.  An isotropic B is isotropic
+    for every rational combination of the forms, so its projections
+    pi1(B) and pi2(B) are isotropic for the forms on s1 and on s2, and
+    rank B <= rank pi1(B) + rank pi2(B) <= h1 + h2.  Independent scalars on
+    each factor, as in the iterated products B_q1 (x) ... (x) B_qk, make the
+    spans add up.
     """
     infos = []
     for comp in comps:
@@ -544,12 +563,19 @@ def _split_certificate(
                 "rank": len(comp),
                 "center": center_is_trivial(sub),
                 "rows": res.witness.rows,
+                "coords": [_form_coords(F, len(comp)) for F in sub.free_forms],
             }
         )
-    t = len(infos)
-    table: dict[frozenset, tuple[int, int, int, bool]] = {}
+
+    t, k = len(infos), len(p.free_forms)
+
+    def span(combo) -> int:
+        """Dimension of the span of the free forms restricted to the components ``combo``."""
+        return rank([sum((infos[i]["coords"][l] for i in combo), []) for l in range(k)])
+
+    table: dict[frozenset, tuple[int, int, int, bool, int]] = {}
     for i, info in enumerate(infos):
-        table[frozenset([i])] = (info["lo"], info["hi"], info["rank"], info["center"])
+        table[frozenset([i])] = (info["lo"], info["hi"], info["rank"], info["center"], span([i]))
     indices = list(range(t))
     for size in range(2, t + 1):
         for combo in itertools.combinations(indices, size):
@@ -557,6 +583,7 @@ def _split_certificate(
             lo = sum(infos[i]["lo"] for i in combo)
             rk = sum(infos[i]["rank"] for i in combo)
             cf = all(infos[i]["center"] for i in combo)
+            d = span(combo)
             hi = rk
             members = sorted(fs)
             head = members[0]
@@ -567,12 +594,14 @@ def _split_certificate(
                     s2 = fs - s1
                     if not s2:
                         continue
-                    l1, h1, r1, c1 = table[s1]
-                    l2, h2, r2, c2 = table[s2]
+                    l1, h1, r1, c1, d1 = table[s1]
+                    l2, h2, r2, c2, d2 = table[s2]
                     hi = min(hi, _pair_bound(l1, h1, r1, c1, l2, h2, r2, c2))
+                    if d1 + d2 == d:
+                        hi = min(hi, h1 + h2)
             hi = max(hi, lo)
-            table[fs] = (lo, hi, rk, cf)
-    lo, hi, _, _ = table[frozenset(indices)]
+            table[fs] = (lo, hi, rk, cf, d)
+    lo, hi, _, _, _ = table[frozenset(indices)]
     rows = []
     for info in infos:
         for row in info["rows"]:
@@ -737,6 +766,8 @@ def brute_force_dimension(
     limit, so callers never receive an under-explored maximum.  Each search
     node costs one unit of ``node_limit``, which must not be negative.
     """
+    import numpy as np
+
     if node_limit is not None and node_limit < 0:
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     n = mat.rank

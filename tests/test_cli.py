@@ -53,6 +53,21 @@ def test_tensor_then_dim(tmp_path):
     assert doc["lower"] == doc["upper"] == 3 and doc["exact"]
 
 
+def test_disjoint_tensor_is_exact(tmp_path):
+    a, b, t = (tmp_path / name for name in ("a.json", "b.json", "t.json"))
+    res = run_cli(
+        "generate", "--kind", "transpose-pair", "--rank", "3",
+        "-o", str(a), "--out2", str(b),
+    )
+    assert res.returncode == 0
+    res = run_cli("tensor", str(a), str(b), "--mode", "disjoint", "-o", str(t))
+    assert res.returncode == 0
+    res = run_cli("dim", str(t), "--require-exact")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert doc["lower"] == doc["upper"] == 2 and doc["exact"]
+
+
 def test_center_and_codim(ind3):
     res = run_cli("center", str(ind3), "--json")
     assert res.returncode == 0

@@ -1,11 +1,16 @@
-"""Every public name resolves, and every name a demo imports from qtorus exists."""
+"""Every public name resolves, every name a demo imports from qtorus exists,
+and importing the package leaves numpy unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qtorus
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def test_all_names_resolve():
@@ -26,3 +31,11 @@ def test_demo_imports_exist():
     found = list(demo_imports())
     assert found
     assert [(demo, name) for demo, name in found if not hasattr(qtorus, name)] == []
+
+
+def test_import_leaves_numpy_unloaded():
+    # only the brute-force oracle uses numpy, and it imports it on first call
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, qtorus, qtorus.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

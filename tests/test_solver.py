@@ -21,6 +21,7 @@ from qtorus.pairing import (
     pairing_of,
     restrict_matrix,
     tensor,
+    transpose,
 )
 from qtorus.solver import (
     _INT32_SAFE,
@@ -29,8 +30,10 @@ from qtorus.solver import (
     SolverOptions,
     _Budget,
     _candidate_stream,
+    _components,
     _level,
     _Searcher,
+    _split_certificate,
     brute_force_dimension,
     codimension,
     dimension,
@@ -255,10 +258,11 @@ GOLDEN = {
         "exact": True,
         "witness": [[1 if j % 5 == i else 0 for j in range(10)] for i in range(5)],
     },
+    # independent scalars on each factor: the scalar-split rule closes it
     ("disjoint", 3): {
         "lower": 2,
-        "upper": 3,
-        "exact": False,
+        "upper": 2,
+        "exact": True,
         "witness": [[0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]],
     },
     ("random", 5, 1): {
@@ -366,6 +370,65 @@ def test_torsion_link_split_matches_oracle():
     mat = torsion_linked_transpose_pair(3)
     res = dimension(mat)
     assert res.exact and res.lower == brute_force_dimension(mat, 1) == 3
+
+
+def test_disjoint_transpose_pair_matches_oracle():
+    lam, lam_t = gen_transpose_pair(3)
+    mat = tensor(lam, lam_t, "disjoint")
+    assert dimension(mat).upper == brute_force_dimension(mat, 1) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_disjoint_transpose_pair_closes_without_search(n):
+    # one node would exhaust the budget, so an exact answer means no search ran
+    lam, lam_t = gen_transpose_pair(n)
+    res = dimension(tensor(lam, lam_t, "disjoint"), SolverOptions(node_budget=1, time_budget=1e6))
+    assert (res.lower, res.upper, res.exact) == (2, 2, True)
+
+
+def random_factor_pairs(mode, m, count, seed):
+    """Seeded tensor products of random factors of rank 1-3 with k = 1-3 scalars.
+
+    Half the second factors are the transpose of the first: on shared
+    scalars their forms are negatives of each other, so the spans do not
+    add up and the product can exceed the sum of the factors' dimensions.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        k1 = rng.randint(1, 3)
+        k2 = rng.randint(1, 3) if mode == "disjoint" else k1
+        a = gen_random(rng.randint(1, 3), k1, m, seed=rng.randrange(10**6))
+        if rng.random() < 0.5:
+            b = transpose(a)
+        else:
+            b = gen_random(rng.randint(1, 3), k2, m, seed=rng.randrange(10**6))
+        yield tensor(a, b, mode)
+
+
+@pytest.mark.parametrize("mode", ["shared", "disjoint"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_split_certificate_never_below_oracle(mode, m):
+    opts = SolverOptions(time_budget=1e6)
+    for mat in random_factor_pairs(mode, m, 25, seed=f"{mode}-{m}"):
+        p = pairing_of(mat)
+        comps = _components(p)
+        oracle = brute_force_dimension(mat, 1)
+        if len(comps) >= 2:
+            _, hi, _ = _split_certificate(p, comps, opts, _Budget(opts))
+            assert hi >= oracle
+        assert dimension(mat, opts).upper >= oracle
+
+
+def test_scalar_split_chain_with_open_middle_factor():
+    # lambda (x) mid (x) lambda^T on disjoint scalars: the middle factor stays
+    # open at [2, 3], so the chain is [1 + 2 + 1, 1 + 3 + 1]; the two-factor
+    # bound alone leaves it at [4, 6]
+    opts = SolverOptions(node_budget=2000, time_budget=1e6)
+    lam, lam_t = gen_transpose_pair(3)
+    mid = gen_random(5, 3, seed=1, names=("a1", "a2", "a3"))
+    assert dimension(mid, opts).upper == 3
+    res = dimension(tensor(tensor(lam, mid, "disjoint"), lam_t, "disjoint"), opts)
+    assert (res.lower, res.upper, res.exact) == (4, 5, False)
 
 
 def _tick(state):
