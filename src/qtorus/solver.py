@@ -19,22 +19,24 @@ is known, so the solver reports a certified interval:
 The ``exact`` flag is set only when the two meet.  Exhausting the search
 budget can therefore cost exactness but never correctness.
 
-The solver reads only the integer forms of the commutator pairing.  The
-top level and every search level take one step (``_level``): split off the
-common kernel of the forms, restrict them to a complement, and close the
-level when a count settles it: at most one form left (closed form), or
-forms spanning every alternating form on Q^m with m >= 3 (the wedge count
-leaves room for one vector above the radical).  Only the other levels are
-scanned, and each node of the budget is one candidate tried.  The
-tensor-splitting certificate solves each block on the forms sliced to its
-generators.
+The solver reads only the integer forms of the commutator pairing:
+``dimension`` is the one place that sees the ``Pairing``, and the core,
+``_interval``, takes a tuple of forms.  The top level and every search
+level take one step (``_level``): split off the common kernel of the forms,
+restrict them to a complement, and close the level when a count settles it:
+at most one form left (closed form), or forms spanning every alternating
+form on Q^m with m >= 3 (the wedge count leaves room for one vector above
+the radical).  Only the other levels are scanned, and each node of the
+budget is one candidate tried.  The tensor-splitting certificate solves
+each block by ``_interval`` on the forms sliced to its generators, and
+folds the block intervals only while the interval is still open.
 
 Torsion scalars never change the answer: if a sublattice B is isotropic for
 the free forms, then m*B (same rank) is isotropic for the full pairing
 because every torsion residue is multiplied by m^2.  The supremum of
 isotropic ranks is therefore computed from the free forms alone
-(``Pairing.free_forms``), and witnesses are rescaled by m at the end when
-needed.
+(``Pairing.free_forms``), and ``dimension`` rescales the witness by m once,
+at the end, when needed.
 
 Matrices are rows of Python ints (see ``lattice``).  numpy appears only in
 the brute-force oracle, which imports it when called, so importing the
@@ -68,8 +70,6 @@ from .lattice import (
 from .pairing import (
     DimensionResult,
     MultiparameterMatrix,
-    Pairing,
-    center_is_trivial,
     is_commutative,
     pairing_of,
 )
@@ -169,14 +169,6 @@ def max_isotropic_single(M, n: int) -> list:
     e_i = [0] * n
     e_i[i] = 1
     return [e_i, *matmul(W, C)]
-
-
-def single_form_dimension(M) -> tuple[int, Sublattice]:
-    """Maximal isotropic rank n - skew_rank(M) of one alternating form, with
-    witness: the closed form of ``_level``, which certifies that rank."""
-    n = len(M)
-    closed = _level(_span_basis([M], n), n)[3]
-    return len(closed), Sublattice.span(n, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +457,12 @@ class _Searcher:
 # tensor-splitting certificate
 
 
-def _components(p: Pairing) -> list[tuple[int, ...]]:
-    """Connected components of generators under 'some free form pairs them'.
+def _components(forms, n: int) -> list[tuple[int, ...]]:
+    """Connected components of generators under 'some form pairs them'.
 
-    The torsion form is left out, which is sound: if B is isotropic for the
-    free forms, then m*B (same rank) is isotropic for the full pairing, so
-    the dimension is that of the algebra of the free forms alone, and that
-    algebra is the tensor product of its blocks on these components.
-    ``_dimension`` rescales the joined witness by m where torsion needs it.
+    Every form is block-diagonal across the components, so the algebra of
+    the forms is the tensor product of the algebras of its blocks.
     """
-    n = p.rank
-    forms = p.free_forms
     seen = [False] * n
     comps = []
     for start in range(n):
@@ -516,137 +503,131 @@ def _pair_bound(lo1, hi1, r1, cf1, lo2, hi2, r2, cf2) -> int:
     return min(b, r1 + r2)
 
 
-def _split_certificate(
-    p: Pairing,
-    comps: list[tuple[int, ...]],
-    opts: SolverOptions,
-    budget: _Budget,
-) -> tuple[int, int, list[list[int]]]:
-    """Bounds from the block decomposition of a visibly split pairing.
+def _fold(blocks: list) -> int:
+    """Upper bound for the tensor product of blocks ``(forms, lo, hi)``.
 
-    No free form pairs generators of different components, so the algebra
-    of the free forms, which has the same dimension (see ``_components``),
-    is the tensor product of the component subalgebras: concatenated
-    component witnesses give the lower bound, and folding the component
-    intervals over all bipartitions s1 | s2 of each subset of components
-    gives the upper.  Each bipartition contributes the two-factor bound
+    Folds the block intervals over all bipartitions s1 | s2 of each subset
+    of blocks.  Each bipartition contributes the two-factor bound
     ``_pair_bound`` and, when the scalars split by block, the sum h1 + h2
-    of the two sides' upper bounds.
+    of the two sides' upper bounds.  A block's center is trivial exactly
+    when its stacked forms have full rank.
 
-    The scalar-split rule is sound: every free form is block-diagonal
-    across components, so its restriction F|s to a subset s is its blocks
-    on s, and the fold table records span(s), the dimension of the span of
-    the restricted forms.  span(s1 u s2) is at most span(s1) + span(s2),
-    with equality exactly when the span of the forms on s1 u s2 is the
-    direct sum of the spans of their restrictions; then each F|s1 (+) 0
-    lies in the rational span of the forms.  An isotropic B is isotropic
-    for every rational combination of the forms, so its projections
-    pi1(B) and pi2(B) are isotropic for the forms on s1 and on s2, and
-    rank B <= rank pi1(B) + rank pi2(B) <= h1 + h2.  Independent scalars on
-    each factor, as in the iterated products B_q1 (x) ... (x) B_qk, make the
-    spans add up.
+    The scalar-split rule is sound: every form is block-diagonal across
+    blocks, so its restriction F|s to a subset s is its blocks on s, and the
+    fold table records span(s), the dimension of the span of the restricted
+    forms.  span(s1 u s2) is at most span(s1) + span(s2), with equality
+    exactly when the span of the forms on s1 u s2 is the direct sum of the
+    spans of their restrictions; then each F|s1 (+) 0 lies in the rational
+    span of the forms.  An isotropic B is isotropic for every rational
+    combination of the forms, so its projections pi1(B) and pi2(B) are
+    isotropic for the forms on s1 and on s2, and rank B <= rank pi1(B) +
+    rank pi2(B) <= h1 + h2.  Independent scalars on each factor, as in the
+    iterated products B_q1 (x) ... (x) B_qk, make the spans add up.
+
+    The sum of the blocks' lower bounds is certified by their joined
+    witnesses, so a subset whose bound falls below it is a fault.
     """
-    infos = []
-    for comp in comps:
-        sub = Pairing(
-            len(comp),
-            p.value_group,
-            tuple(_sliced(F, comp) for F in p.free_forms),
-            _sliced(p.torsion_form, comp),
-        )
-        res = _dimension(sub, opts, budget)
-        infos.append(
-            {
-                "comp": comp,
-                "lo": res.lower,
-                "hi": res.upper,
-                "rank": len(comp),
-                "center": center_is_trivial(sub),
-                "rows": res.witness.rows,
-                "coords": [_form_coords(F, len(comp)) for F in sub.free_forms],
-            }
-        )
-
-    t, k = len(infos), len(p.free_forms)
+    coords = [[_form_coords(F, len(F)) for F in forms] for forms, _, _ in blocks]
+    k = len(coords[0])
 
     def span(combo) -> int:
-        """Dimension of the span of the free forms restricted to the components ``combo``."""
-        return rank([sum((infos[i]["coords"][l] for i in combo), []) for l in range(k)])
+        """Dimension of the span of the forms restricted to the blocks ``combo``."""
+        return rank([sum((coords[i][l] for i in combo), []) for l in range(k)])
 
-    table: dict[frozenset, tuple[int, int, int, bool, int]] = {}
-    for i, info in enumerate(infos):
-        table[frozenset([i])] = (info["lo"], info["hi"], info["rank"], info["center"], span([i]))
-    indices = list(range(t))
-    for size in range(2, t + 1):
+    singles = []
+    for forms, lo, hi in blocks:
+        r = len(forms[0])
+        singles.append((lo, hi, r, rank([row for M in forms for row in M]) == r))
+    table = {frozenset([i]): (*single, span([i])) for i, single in enumerate(singles)}
+    indices = list(range(len(blocks)))
+    for size in range(2, len(blocks) + 1):
         for combo in itertools.combinations(indices, size):
             fs = frozenset(combo)
-            lo = sum(infos[i]["lo"] for i in combo)
-            rk = sum(infos[i]["rank"] for i in combo)
-            cf = all(infos[i]["center"] for i in combo)
+            lo = sum(singles[i][0] for i in combo)
+            rk = sum(singles[i][2] for i in combo)
+            cf = all(singles[i][3] for i in combo)
             d = span(combo)
             hi = rk
-            members = sorted(fs)
-            head = members[0]
-            rest = members[1:]
-            for r in range(0, len(rest) + 1):
+            head, rest = combo[0], combo[1:]
+            for r in range(len(rest)):
                 for pick in itertools.combinations(rest, r):
                     s1 = frozenset([head, *pick])
-                    s2 = fs - s1
-                    if not s2:
-                        continue
                     l1, h1, r1, c1, d1 = table[s1]
-                    l2, h2, r2, c2, d2 = table[s2]
+                    l2, h2, r2, c2, d2 = table[fs - s1]
                     hi = min(hi, _pair_bound(l1, h1, r1, c1, l2, h2, r2, c2))
                     if d1 + d2 == d:
                         hi = min(hi, h1 + h2)
-            hi = max(hi, lo)
+            if hi < lo:
+                raise AssertionError("split upper bound fell below the blocks' lower bounds")
             table[fs] = (lo, hi, rk, cf, d)
-    lo, hi, _, _, _ = table[frozenset(indices)]
-    rows = []
-    for info in infos:
-        for row in info["rows"]:
-            full = [0] * p.rank
-            for col, val in zip(info["comp"], row):
-                full[col] = val
-            rows.append(full)
-    return lo, hi, rows
+    return table[frozenset(indices)][1]
 
 
 # ---------------------------------------------------------------------------
 # the solver proper
 
 
-def _dimension(p: Pairing, opts: SolverOptions, budget: _Budget) -> DimensionResult:
-    n = p.rank
-    rad_rows, comp_rows, qforms, closed = _level(_span_basis(p.free_forms, n), n)
-    r0, mq = len(rad_rows), len(comp_rows)
+def _interval(forms, n: int, opts: SolverOptions, budget: _Budget):
+    """Certified ``(lower, upper, rows)`` for the integer alternating ``forms`` on Z^n.
 
+    ``rows`` span a sublattice of rank at least ``lower`` on which every
+    form vanishes.  A level that ``_level`` closes is exact.  Otherwise the
+    upper bound is the pencil and wedge bounds above the radical; where the
+    forms split into blocks (``_components``), each block is solved on its
+    sliced forms, the joined block witnesses give a lower bound, and, only
+    while the interval is still open, the fold (``_fold``) of the block
+    intervals may lower the upper bound.  The search runs last, and only
+    while the interval is open.
+    """
+    rad_rows, comp_rows, qforms, closed = _level(_span_basis(forms, n), n)
     if closed is not None:
-        lower = upper = len(closed)
-        wit_rows = closed
-    else:
-        upper = r0 + min(_pencil_upper(qforms, mq, opts), _wedge_upper(len(qforms), mq))
-        comps = _components(p)
-        split = None
-        if len(comps) >= 2:
-            split = _split_certificate(p, comps, opts, budget)
-            upper = min(upper, split[1])
-        lower, wit_rows = r0, rad_rows
-        if split is not None and split[0] > lower:
-            lower, wit_rows = split[0], split[2]
+        return len(closed), len(closed), closed
+    r0, mq = len(rad_rows), len(comp_rows)
+    upper = r0 + min(_pencil_upper(qforms, mq, opts), _wedge_upper(len(qforms), mq))
+    lower, rows = r0, rad_rows
+    comps = _components(forms, n)
+    if len(comps) >= 2:
+        blocks, joined = [], []
+        for comp in comps:
+            sliced = tuple(_sliced(F, comp) for F in forms)
+            lo, hi, block_rows = _interval(sliced, len(comp), opts, budget)
+            blocks.append((sliced, lo, hi))
+            for row in block_rows:
+                full = [0] * n
+                for col, val in zip(comp, row):
+                    full[col] = val
+                joined.append(full)
+        split_lower = sum(lo for _, lo, _ in blocks)
+        if split_lower > lower:
+            lower, rows = split_lower, joined
         if lower < upper:
-            found, rows_q, _ = _Searcher(opts, budget)._solve(qforms, mq, upper - r0)
-            if r0 + found > lower:
-                lower = r0 + found
-                wit_rows = [*rad_rows, *matmul(rows_q, comp_rows)]
-        if lower == 0:
-            # Any single vector spans a commutative sublattice.
-            lower, wit_rows = 1, identity(n)[:1]
-
+            upper = min(upper, _fold(blocks))
+    if lower < upper:
+        found, rows_q, _ = _Searcher(opts, budget)._solve(qforms, mq, upper - r0)
+        if r0 + found > lower:
+            lower = r0 + found
+            rows = [*rad_rows, *matmul(rows_q, comp_rows)]
+    if lower == 0:
+        # Any single vector spans a commutative sublattice.
+        lower, rows = 1, identity(n)[:1]
     upper = min(upper, n)
     if lower > upper:
         raise AssertionError("certified lower bound exceeded the upper bound")
-    witness = Sublattice.span(n, wit_rows)
+    return lower, upper, rows
+
+
+def dimension(mat: MultiparameterMatrix, opts: SolverOptions | None = None) -> DimensionResult:
+    """Certified dimension interval of the quantum torus presented by ``mat``.
+
+    The interval is that of the free forms alone (see the module docstring);
+    the witness is rescaled by the torsion order once, here, if torsion
+    residues keep it from commuting.
+    """
+    opts = opts or SolverOptions()
+    p = pairing_of(mat)
+    n = p.rank
+    lower, upper, rows = _interval(p.free_forms, n, opts, _Budget(opts))
+    witness = Sublattice.span(n, rows)
     if witness.rank < lower:
         raise AssertionError("witness rank fell short of the certified lower bound")
     m = p.value_group.torsion_order
@@ -655,12 +636,6 @@ def _dimension(p: Pairing, opts: SolverOptions, budget: _Budget) -> DimensionRes
     if not is_commutative(p, witness):
         raise AssertionError("witness is not commutative for the pairing")
     return DimensionResult(lower, upper, lower == upper, witness)
-
-
-def dimension(mat: MultiparameterMatrix, opts: SolverOptions | None = None) -> DimensionResult:
-    """Certified dimension interval of the quantum torus presented by ``mat``."""
-    opts = opts or SolverOptions()
-    return _dimension(pairing_of(mat), opts, _Budget(opts))
 
 
 def codimension(mat: MultiparameterMatrix, opts: SolverOptions | None = None) -> int:

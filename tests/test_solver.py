@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from qtorus import solver
 from qtorus.elements import commutator_units
 from qtorus.harness import (
     CampaignConfig,
@@ -31,13 +32,14 @@ from qtorus.solver import (
     _Budget,
     _candidate_stream,
     _components,
+    _fold,
+    _interval,
     _level,
     _Searcher,
-    _split_certificate,
+    _sliced,
     brute_force_dimension,
     codimension,
     dimension,
-    single_form_dimension,
 )
 from qtorus.valuegroup import ValueGroup
 
@@ -84,15 +86,6 @@ def test_free_forms_keep_free_scalars():
 # single-form closed formula
 
 
-def test_single_form_examples():
-    v, w = single_form_dimension([[0] * 3] * 3)
-    assert v == 3 and w == Sublattice.full(3)
-    v, w = single_form_dimension([[0, 1], [-1, 0]])
-    assert v == 1 and w.rank == 1
-    v, w = single_form_dimension([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-    assert v == 2 and w.rank == 2
-
-
 def form_matrix(n, M):
     """Wrap one alternating form as a single-generator instance."""
     g = ValueGroup(("q",), 1)
@@ -104,15 +97,31 @@ def form_matrix(n, M):
     return MultiparameterMatrix.from_upper(n, g, upper)
 
 
+def single_form_result(M):
+    """``dimension`` of one form: exact, with a commuting witness."""
+    mat = form_matrix(len(M), M)
+    res = dimension(mat)
+    assert res.exact
+    assert is_commutative(pairing_of(mat), res.witness)
+    return res
+
+
+def test_single_form_examples():
+    res = single_form_result([[0] * 3] * 3)
+    assert res.lower == 3 and res.witness == Sublattice.full(3)
+    res = single_form_result([[0, 1], [-1, 0]])
+    assert res.lower == 1 and res.witness.rank == 1
+    res = single_form_result([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    assert res.lower == 2 and res.witness.rank == 2
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_single_form_agrees_with_oracle_exhaustively(n):
     count = n * (n - 1) // 2
     for entries in itertools.product(range(-2, 3), repeat=count):
         M = alternating(n, entries)
-        value, witness = single_form_dimension(M)
-        mat = form_matrix(n, M)
-        assert is_commutative(pairing_of(mat), witness)
-        assert brute_force_dimension(mat, 2) == value
+        value = single_form_result(M).lower
+        assert brute_force_dimension(form_matrix(n, M), 2) == value
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +419,63 @@ def random_factor_pairs(mode, m, count, seed):
 def test_split_certificate_never_below_oracle(mode, m):
     opts = SolverOptions(time_budget=1e6)
     for mat in random_factor_pairs(mode, m, 25, seed=f"{mode}-{m}"):
-        p = pairing_of(mat)
-        comps = _components(p)
+        forms = pairing_of(mat).free_forms
+        comps = _components(forms, mat.rank)
         oracle = brute_force_dimension(mat, 1)
         if len(comps) >= 2:
-            _, hi, _ = _split_certificate(p, comps, opts, _Budget(opts))
-            assert hi >= oracle
+            blocks = []
+            for comp in comps:
+                sliced = tuple(_sliced(F, comp) for F in forms)
+                lo, hi, _ = _interval(sliced, len(comp), opts, _Budget(opts))
+                blocks.append((sliced, lo, hi))
+            assert _fold(blocks) >= oracle
         assert dimension(mat, opts).upper >= oracle
+
+
+def iterated_product(k):
+    """Disjoint B_q1 (x) ... (x) B_qk: k rank-2 factors with their own scalars."""
+    mat = gen_independent(2)
+    for _ in range(k - 1):
+        mat = tensor(mat, gen_independent(2), "disjoint")
+    return mat
+
+
+def test_iterated_product_closes_without_fold(monkeypatch):
+    # The pencil bound (the sum of the k forms is nondegenerate) meets the
+    # joined block witnesses, so the fold over the blocks never runs.
+    def refuse(*args):
+        raise AssertionError("the block fold ran on a closed interval")
+
+    monkeypatch.setattr(solver, "_pair_bound", refuse)
+    for k in range(2, 13):
+        mat = iterated_product(k)
+        res = dimension(mat)
+        assert (res.lower, res.upper, res.exact) == (k, k, True)
+        assert is_commutative(pairing_of(mat), res.witness)
+
+
+def strip_torsion(mat):
+    """The same matrix over the torsion-free group on the same free scalars."""
+    g = ValueGroup(mat.value_group.free_names, 1)
+    n = mat.rank
+    upper = {
+        (i + 1, j + 1): g.element(mat.entries[i][j].free)
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return MultiparameterMatrix.from_upper(n, g, upper)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_torsion_rescales_the_witness_once(m):
+    # Torsion never moves the interval, and the witness of the torsion-free
+    # matrix W is rescaled at most once: the answer's witness is W or m*W.
+    config = CampaignConfig(max_rank=4, max_free=2, exponent_bound=1, torsion=m)
+    for trial in range(60):
+        mat = tensor(*_trial_pair(config, trial), "shared")
+        res, free = dimension(mat), dimension(strip_torsion(mat))
+        assert (res.lower, res.upper) == (free.lower, free.upper)
+        assert res.witness in (free.witness, free.witness.scaled(m))
 
 
 def test_scalar_split_chain_with_open_middle_factor():
