@@ -38,13 +38,12 @@ isotropic ranks is therefore computed from the free forms alone
 (``Pairing.free_forms``), and ``dimension`` rescales the witness by m once,
 at the end, when needed.
 
-Matrices are rows of Python ints (see ``lattice``).  numpy appears only in
-the brute-force oracle, which imports it when called, so importing the
-package does not load it.  The oracle builds its int32 commutation table
-after an overflow check and a cap on the candidate count, then packs each
-row into a Python-int bitset; its search pools are int masks, and its
-independence test keeps integer annihilator rows of the chosen span, exact
-over Q.
+Matrices are rows of Python ints (see ``lattice``), and the package has no
+runtime dependency.  The brute-force oracle caps its candidate count, then
+builds each row of its commutation table as a Python-int bitset from
+byte-packed big-int products (``_commutation_table``); its search pools are
+int masks, and its independence test keeps integer annihilator rows of the
+chosen span, exact over Q.
 """
 
 from __future__ import annotations
@@ -70,6 +69,7 @@ from .lattice import (
 from .pairing import (
     DimensionResult,
     MultiparameterMatrix,
+    Pairing,
     is_commutative,
     pairing_of,
 )
@@ -655,14 +655,15 @@ _BRUTE_MAX_RANK = 6
 _BRUTE_MAX_BOUND = 3
 # Largest candidate count whose N x N table is built: rank 6 at bound 1
 # gives 364 and rank 4 at bound 2 gives 272, while rank 6 at bound 3 (58,096
-# candidates) would need gigabytes.  At the cap the int32 table is 9 MB.
+# candidates) would need 420 MB even as bits.
 _BRUTE_MAX_CANDIDATES = 1_500
-# Table entries are bounded by max_entry * bound^2 * n^2; below this they
-# fit int32 with room to spare.
-_INT32_SAFE = 1 << 20
+# The packed table holds 128 + a.F.b in one byte, exact while |a.F.b| <= 127;
+# bound^2 * sum |F[s][t]| <= _BYTE_SAFE guarantees that for every candidate pair.
+_BYTE_SAFE = 127
 
 
 _CANDIDATE_CACHE: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+_COLUMN_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 def _brute_candidates(n: int, bound: int) -> list[tuple[int, ...]]:
@@ -677,6 +678,75 @@ def _brute_candidates(n: int, bound: int) -> list[tuple[int, ...]]:
             )
         _CANDIDATE_CACHE[key] = cands
     return _CANDIDATE_CACHE[key]
+
+
+def _packed_columns(n: int, bound: int) -> tuple[int, ...]:
+    """``col[t] = sum_j c_j[t] * 256^j`` over the candidates c_j, one per coordinate.
+
+    Each is read from bytes c_j[t] + bound, which lie in [0, 2 * bound], less
+    bound in every byte.
+    """
+    key = (n, bound)
+    if key not in _COLUMN_CACHE:
+        cands = _brute_candidates(n, bound)
+        ones = int.from_bytes(b"\x01" * len(cands), "little")
+        _COLUMN_CACHE[key] = tuple(
+            int.from_bytes(bytes(c[t] + bound for c in cands), "little") - bound * ones
+            for t in range(n)
+        )
+    return _COLUMN_CACHE[key]
+
+
+def _commutation_table(p: Pairing, bound: int) -> list[int]:
+    """Bitset rows of the commutation table over ``_brute_candidates(p.rank, bound)``.
+
+    Bit j of row i is set when candidates i and j commute under the full
+    pairing: every free form vanishes on them and, when the torsion order m
+    exceeds 1, the torsion form is 0 mod m.  Each row has its own bit set.
+
+    Packed path: for a checked form F, ``G[s] = sum_t F[s][t] * col[t]``
+    (``_packed_columns``) holds (F c_j)[s] in digit j of base 256, so
+    ``D_i = 128 * sum_j 256^j + sum_s c_i[s] * G[s]`` equals
+    ``sum_j (128 + c_i F c_j) * 256^j`` as an integer.  When every digit
+    128 + c_i F c_j lies in [0, 255] this is the base-256 expansion of D_i,
+    which is unique, so byte j of ``D_i.to_bytes(N, "little")`` is exactly
+    128 + c_i F c_j.  The digits lie there because
+    |c_i F c_j| <= sum_{s,t} |c_i[s]| |F[s][t]| |c_j[t]| <= bound^2 * sum |F|,
+    which the guard keeps at most ``_BYTE_SAFE`` = 127 for every checked
+    form.  ``translate`` then sends byte 128 to ``1`` for a free form, and a
+    byte b to ``1`` when (b - 128) % m == 0 for the torsion form; reversed,
+    the bytes read as a base-2 int whose bit j is candidate j's answer.
+    Inputs past the guard are compared pair by pair with
+    ``Pairing.commutator``.
+    """
+    n = p.rank
+    cands = _brute_candidates(n, bound)
+    N = len(cands)
+    m = p.value_group.torsion_order
+    checked = [(M, 0) for M in p.free_forms]
+    if m > 1:
+        checked.append((p.torsion_form, m))
+    if any(bound * bound * sum(abs(x) for row in M for x in row) > _BYTE_SAFE for M, _ in checked):
+        # text rows read in base 2, as on the packed path: character N - 1 - j is bit j
+        rows = [bytearray(b"1" * N) for _ in range(N)]
+        for a in range(N):
+            for b in range(a + 1, N):
+                if not p.commutator(cands[a], cands[b]).is_identity():
+                    rows[a][N - 1 - b] = rows[b][N - 1 - a] = ord("0")
+        return [int(row, 2) for row in rows]
+    cols = _packed_columns(n, bound)
+    base = int.from_bytes(b"\x80" * N, "little")
+    compat = [(1 << N) - 1] * N
+    for M, mod in checked:
+        table = bytes(
+            ord("1") if ((b - 128) % mod == 0 if mod else b == 128) else ord("0")
+            for b in range(256)
+        )
+        G = [sum(f * col for f, col in zip(row, cols) if f) for row in M]
+        for i, c in enumerate(cands):
+            D = base + sum(x * g for x, g in zip(c, G) if x)
+            compat[i] &= int(D.to_bytes(N, "little").translate(table)[::-1], 2)
+    return compat
 
 
 def _annihilate(ann: list, vec) -> list | None:
@@ -726,11 +796,11 @@ def brute_force_dimension(
     and the candidate vectors, which ``_box_vectors`` enumerates for both;
     no radical, complement, ranking or certificate of the solver is used.
 
-    Bitset layout: the N x N commutation table is packed by one
-    ``np.packbits`` call (little bit order), so bit j of the Python int
-    ``compat[i]`` is set when candidates i and j commute.  A search pool is
-    an int mask over the candidates: a child taking i gets ``mask & compat[i]``
-    with bits 0..i cleared, and i is compatible with the whole pool when
+    Bitset layout: ``_commutation_table`` builds the N x N commutation table
+    as one Python-int bitset per candidate, so bit j of ``compat[i]`` is set
+    when candidates i and j commute.  A search pool is an int mask over the
+    candidates: a child taking i gets ``mask & compat[i]`` with bits 0..i
+    cleared, and i is compatible with the whole pool when
     ``compat[i] & mask == mask``.  Linear independence over Q is decided
     exactly, with no modular step, against integer annihilator rows of the
     chosen span (``_annihilate``), which start as the identity.
@@ -741,8 +811,6 @@ def brute_force_dimension(
     limit, so callers never receive an under-explored maximum.  Each search
     node costs one unit of ``node_limit``, which must not be negative.
     """
-    import numpy as np
-
     if node_limit is not None and node_limit < 0:
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     n = mat.rank
@@ -756,25 +824,7 @@ def brute_force_dimension(
     N = len(cands)
     if N == 0:
         return 1
-    m = mat.value_group.torsion_order
-    max_entry = max(abs(x) for M in (*p.free_forms, p.torsion_form) for row in M for x in row)
-    iso = np.ones((N, N), dtype=bool)
-    if max_entry * entry_bound * entry_bound * n * n < _INT32_SAFE:
-        C = np.array(cands, dtype=np.int32)
-        for M in p.free_forms:
-            iso &= C @ np.array(M, dtype=np.int32) @ C.T == 0
-        if m > 1:
-            iso &= (C @ np.array(p.torsion_form, dtype=np.int32) @ C.T) % m == 0
-    else:
-        for a in range(N):
-            for b in range(a + 1, N):
-                ok = p.commutator(cands[a], cands[b]).is_identity()
-                iso[a, b] = iso[b, a] = ok
-    compat = [
-        int.from_bytes(row.tobytes(), "little")
-        for row in np.packbits(iso, axis=1, bitorder="little")
-    ]
-    del iso
+    compat = _commutation_table(p, entry_bound)
     best = 1
     nodes = node_limit
 
@@ -788,11 +838,9 @@ def brute_force_dimension(
             nodes -= 1
         if depth > best:
             best = depth
-        if best == n:
+        if best == n or depth + mask.bit_count() <= best:
             return
         pool = list(_bits(mask))
-        if depth + len(pool) <= best:
-            return
         # Vectors compatible with the whole pool can be taken greedily: by
         # matroid exchange some maximum solution contains any maximal
         # independent subset of them, so they never need to be branched on.

@@ -25,12 +25,14 @@ from qtorus.pairing import (
     transpose,
 )
 from qtorus.solver import (
-    _INT32_SAFE,
+    _BYTE_SAFE,
     InexactDimensionError,
     ResourceLimitError,
     SolverOptions,
     _Budget,
+    _brute_candidates,
     _candidate_stream,
+    _commutation_table,
     _components,
     _fold,
     _interval,
@@ -602,10 +604,73 @@ def test_brute_search_tree_pinned(spec, bound, value, nodes):
         brute_force_dimension(mat, bound, node_limit=nodes - 1)
 
 
+def _byte_load(p, bound) -> int:
+    # bound^2 * sum |F| over the worst form the packed table checks
+    forms = [*p.free_forms, *([p.torsion_form] if p.value_group.torsion_order > 1 else [])]
+    return max((bound * bound * sum(abs(x) for row in M for x in row) for M in forms), default=0)
+
+
+def _pairwise_table(mat, bound) -> list[int]:
+    p = pairing_of(mat)
+    cands = _brute_candidates(mat.rank, bound)
+    rows = [1 << i for i in range(len(cands))]
+    for a, b in itertools.combinations(range(len(cands)), 2):
+        if p.commutator(cands[a], cands[b]).is_identity():
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return rows
+
+
+# (rank, entry bound, free scalars, torsion, seed).  Every k = 0..3 and
+# torsion 1, 3 at ranks 2-4 (bound 1) and 2-3 (bound 2); the larger tables
+# (rank 5, 6 at bound 1, rank 4 at bound 2) get a few instances each, since
+# the pairwise reference costs about 20 us a pair.
+_PACKED_CASES = [
+    *(
+        (n, bound, k, m, 10 * n + k + m)
+        for n, bound in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2))
+        for k in range(4)
+        for m in (1, 3)
+    ),
+    (5, 1, 0, 3, 1),
+    (5, 1, 3, 1, 2),
+    (5, 1, 2, 3, 3),
+    (6, 1, 3, 3, 4),
+    (4, 2, 2, 3, 5),
+]
+
+
+@pytest.mark.parametrize("n, bound, k, m, seed", _PACKED_CASES)
+def test_packed_table_matches_pairwise(n, bound, k, m, seed):
+    mat = gen_random(n, k, m, 2 if bound == 1 else 1, seed=seed)
+    assert _byte_load(pairing_of(mat), bound) <= _BYTE_SAFE
+    assert _commutation_table(pairing_of(mat), bound) == _pairwise_table(mat, bound)
+
+
+def test_packed_table_exact_at_the_byte_guard():
+    # One torsion pair of order 127 stores a and 127 - a, so the torsion load
+    # is exactly 127, and (1, 0, 1) pairs with itself to 127: byte 255.
+    g = ValueGroup(("q",), 127)
+    mat = MultiparameterMatrix.from_upper(
+        3,
+        g,
+        {(1, 2): g.element((1,), 0), (1, 3): g.element((0,), 40), (2, 3): g.element((-1,), 0)},
+    )
+    p = pairing_of(mat)
+    assert _byte_load(p, 1) == _BYTE_SAFE
+    T = p.torsion_form
+    values = {
+        sum(a[s] * T[s][t] * b[t] for s in range(3) for t in range(3))
+        for a, b in itertools.product(_brute_candidates(3, 1), repeat=2)
+    }
+    assert {127, -127} <= values
+    assert _commutation_table(p, 1) == _pairwise_table(mat, 1)
+
+
 @pytest.mark.parametrize("n, k, seed, bound", [(4, 2, 0, 1), (4, 2, 3, 2), (5, 1, 0, 1)])
 def test_brute_wide_entries_fallback(n, k, seed, bound):
     # Scaling the free forms by 2^18 keeps every commutator's vanishing set,
-    # and pushes the table past the int32-safe bound onto the per-pair path.
+    # and pushes the table past the byte guard onto the per-pair path.
     mat = gen_random(n, k, 1, 2, seed=seed)
     g = mat.value_group
     wide = MultiparameterMatrix.from_upper(
@@ -617,8 +682,7 @@ def test_brute_wide_entries_fallback(n, k, seed, bound):
             for j in range(i + 1, n)
         },
     )
-    max_entry = max(abs(x) for M in pairing_of(wide).free_forms for row in M for x in row)
-    assert max_entry * bound * bound * n * n >= _INT32_SAFE
+    assert _byte_load(pairing_of(wide), bound) > _BYTE_SAFE
     assert brute_force_dimension(wide, bound) == brute_force_dimension(mat, bound)
 
 
