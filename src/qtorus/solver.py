@@ -21,15 +21,19 @@ budget can therefore cost exactness but never correctness.
 
 The solver reads only the integer forms of the commutator pairing:
 ``dimension`` is the one place that sees the ``Pairing``, and the core,
-``_interval``, takes a tuple of forms.  The top level and every search
-level take one step (``_level``): split off the common kernel of the forms,
-restrict them to a complement, and close the level when a count settles it:
-at most one form left (closed form), or forms spanning every alternating
-form on Q^m with m >= 3 (the wedge count leaves room for one vector above
-the radical).  Only the other levels are scanned, and each node of the
-budget is one candidate tried.  The tensor-splitting certificate solves
-each block by ``_interval`` on the forms sliced to its generators, and
-folds the block intervals only while the interval is still open.
+``_interval``, takes a tuple of forms.  A level's independent forms come
+from one fraction-free elimination over their upper-triangle coordinates
+(``_span_basis``).  The top level and every search level then take one
+step (``_level``): split off the common kernel of the forms, restrict them
+to a complement (``_restrict``; restriction to a complement of the common
+kernel is injective on their span, so they stay independent), and close
+the level when a count settles it: at most one form left (closed form), or
+forms spanning every alternating form on Q^m with m >= 3 (the wedge count
+leaves room for one vector above the radical).  Only the other levels are
+scanned, and each node of the budget is one candidate tried.  The
+tensor-splitting certificate solves each block by ``_interval`` on the
+forms sliced to its generators, and folds the block intervals only while
+the interval is still open.
 
 Torsion scalars never change the answer: if a sublattice B is isotropic for
 the free forms, then m*B (same rank) is isotropic for the full pairing
@@ -57,7 +61,6 @@ from operator import mul
 
 from .lattice import (
     Sublattice,
-    congruence,
     identity,
     kernel,
     kernel_with_complement,
@@ -132,21 +135,67 @@ def _combination(coeffs, forms) -> list[list[int]]:
 
 
 def _span_basis(forms, n: int) -> list:
-    """Drop forms that are rational combinations of earlier ones."""
+    """Drop forms that are rational combinations of earlier ones.
+
+    One fraction-free elimination over the forms' upper-triangle
+    coordinates (``_form_coords``).  Each kept coordinate row has a pivot
+    column, and vanishes at the pivots of the rows kept before it.  A new
+    row is reduced against the kept rows in that order, by integer
+    cross-multiplication and division by its content; each step clears one
+    pivot and leaves the earlier ones clear.  So a reduced row that is
+    zero lies in the rational span of the kept rows, and a nonzero one does
+    not (the kept rows are triangular at their pivots).  The forms kept,
+    and their order, are those a rank test against the earlier kept forms
+    would keep; zero forms are dropped.  A level runs this once: ``_level``
+    restricts the kept forms to a complement of their common kernel, which
+    is injective on their span, so the restrictions stay independent.
+    """
     kept = []
-    coords: list[list[int]] = []
+    echelon: list[tuple[int, list[int]]] = []
     for M in forms:
         c = _form_coords(M, n)
-        if all(x == 0 for x in c):
-            continue
-        if not kept:
+        for j, row in echelon:
+            a = c[j]
+            if a:
+                p = row[j]
+                c = [p * x - a * y for x, y in zip(c, row)]
+                g = gcd(*c)
+                if g > 1:
+                    c = [x // g for x in c]
+        lead = next((j for j, x in enumerate(c) if x), None)
+        if lead is not None:
             kept.append(M)
-            coords.append(c)
-            continue
-        if rank(coords + [c]) > len(kept):
-            kept.append(M)
-            coords.append(c)
+            echelon.append((lead, c))
     return kept
+
+
+def _restrict(C, forms) -> list:
+    """The alternating ``forms`` in the coordinates given by the rows of C.
+
+    Each equals ``congruence(C, M)``: C·M is computed once, and of
+    (C·M)·Cᵀ only the strict upper triangle, mirrored with the opposite
+    sign, since the restriction of an exactly alternating form is
+    alternating.  Zero columns of M add nothing to either product, so both
+    run over the other columns only, and a zero row of C·M leaves its row
+    of the result zero.  ``lattice.congruence`` stays the general routine,
+    as the torsion form that ``pairing.restrict`` restricts is alternating
+    only mod m.
+    """
+    m = len(C)
+    out = []
+    for M in forms:
+        live = [(t, col) for t, col in enumerate(zip(*M)) if any(col)]
+        CM = [[sum(map(mul, row, col)) for _, col in live] for row in C]
+        Cl = C if len(live) == len(M) else [[row[t] for t, _ in live] for row in C]
+        R = [[0] * m for _ in range(m)]
+        for i, row in enumerate(CM):
+            if any(row):
+                for j in range(i + 1, m):
+                    x = sum(map(mul, row, Cl[j]))
+                    R[i][j] = x
+                    R[j][i] = -x
+        out.append(tuple(map(tuple, R)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +214,7 @@ def max_isotropic_single(M, n: int) -> list:
         return identity(n)
     i, j = pivot
     C, _ = kernel_with_complement([M[i], M[j]])
-    W = max_isotropic_single(congruence(C, M), len(C))
+    W = max_isotropic_single(_restrict(C, [M])[0], len(C))
     e_i = [0] * n
     e_i[i] = 1
     return [e_i, *matmul(W, C)]
@@ -360,10 +409,14 @@ def _level(forms: list, n: int):
 
     ``forms`` are independent (``_span_basis``).  Returns ``(K, C, qforms,
     closed)``: K spans the common kernel of the forms, C completes it to a
-    basis of Z^n, and ``qforms`` are the independent restrictions of the
-    forms to C.  Every maximal isotropic sublattice contains K, so the
-    level is exact in two cases, and ``closed`` holds the rows of a
-    maximal isotropic sublattice:
+    basis of Z^n, and ``qforms`` are the restrictions of the forms to C
+    (``_restrict``).  They are independent with no second elimination:
+    restriction to C is injective on the span of the forms, because a
+    combination that vanishes on C x C also vanishes on K x Q^n and
+    Q^n x K (every form kills K), hence on all of Q^n x Q^n = (K + C) x
+    (K + C), and the forms are independent.  Every maximal isotropic
+    sublattice contains K, so the level is exact in two cases, and
+    ``closed`` holds the rows of a maximal isotropic sublattice:
 
     * at most one form left: K and a maximal isotropic sublattice of that
       form, of rank len(C) - skew_rank;
@@ -379,7 +432,7 @@ def _level(forms: list, n: int):
     else:
         K, C = identity(n), []
     mq = len(C)
-    qforms = _span_basis([congruence(C, M) for M in forms], mq)
+    qforms = _restrict(C, forms)
     if len(qforms) > 1:
         if _wedge_upper(len(qforms), mq) == 1:
             return K, C, qforms, [*K, C[0]]
@@ -438,7 +491,7 @@ class _Searcher:
             comp, _ = kernel_with_complement(vrows)
             if len(comp) != dim:
                 raise AssertionError("complement rank differs from its ranked dimension")
-            sforms = [congruence(comp, M) for M in qforms]
+            sforms = _restrict(comp, qforms)
             sub_rank, sub_rows, sub_complete = self._solve(sforms, dim, target - r0)
             complete = complete and sub_complete
             if r0 + sub_rank > best_rank:
@@ -703,6 +756,10 @@ def _commutation_table(p: Pairing, bound: int) -> list[int]:
     Bit j of row i is set when candidates i and j commute under the full
     pairing: every free form vanishes on them and, when the torsion order m
     exceeds 1, the torsion form is 0 mod m.  Each row has its own bit set.
+    The torsion form is checked with centred residues, t - m for t > m/2:
+    they are congruent mod m to the stored residues in [0, m), so every
+    answer is the same, and their load under the guard is never larger: a
+    pair of stored residues t, m - t loads m, its centred pair 2 min(t, m - t).
 
     Packed path: for a checked form F, ``G[s] = sum_t F[s][t] * col[t]``
     (``_packed_columns``) holds (F c_j)[s] in digit j of base 256, so
@@ -725,7 +782,8 @@ def _commutation_table(p: Pairing, bound: int) -> list[int]:
     m = p.value_group.torsion_order
     checked = [(M, 0) for M in p.free_forms]
     if m > 1:
-        checked.append((p.torsion_form, m))
+        residues = [[t % m for t in row] for row in p.torsion_form]
+        checked.append(([[t - m if 2 * t > m else t for t in row] for row in residues], m))
     if any(bound * bound * sum(abs(x) for row in M for x in row) > _BYTE_SAFE for M, _ in checked):
         # text rows read in base 2, as on the packed path: character N - 1 - j is bit j
         rows = [bytearray(b"1" * N) for _ in range(N)]

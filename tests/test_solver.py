@@ -1,8 +1,11 @@
 import itertools
 import random
 from dataclasses import replace
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtorus import solver
 from qtorus.elements import commutator_units
@@ -15,9 +18,10 @@ from qtorus.harness import (
     gen_random,
     gen_transpose_pair,
 )
-from qtorus.lattice import Sublattice, kernel_with_complement
+from qtorus.lattice import Sublattice, congruence, kernel_with_complement, rank
 from qtorus.pairing import (
     MultiparameterMatrix,
+    Pairing,
     is_commutative,
     pairing_of,
     restrict_matrix,
@@ -35,10 +39,13 @@ from qtorus.solver import (
     _commutation_table,
     _components,
     _fold,
+    _form_coords,
     _interval,
     _level,
+    _restrict,
     _Searcher,
     _sliced,
+    _span_basis,
     brute_force_dimension,
     codimension,
     dimension,
@@ -82,6 +89,96 @@ def test_free_forms_keep_free_scalars():
     g = ValueGroup(("q",), 2)
     mixed = MultiparameterMatrix.from_upper(2, g, {(1, 2): g.element((1,), 1)})
     assert len(pairing_of(mixed).free_forms) == 1
+
+
+# ---------------------------------------------------------------------------
+# independent forms and their restriction
+
+
+def _rank_span_basis(forms, n):
+    # reference: keep a form when it raises the rank of the kept coordinates
+    kept, coords = [], []
+    for M in forms:
+        c = _form_coords(M, n)
+        if rank(coords + [c]) > len(kept):
+            kept.append(M)
+            coords.append(c)
+    return kept
+
+
+@st.composite
+def form_lists(draw):
+    """Alternating integer forms on Z^n, n = 2..8, with planted dependencies.
+
+    Besides random forms, a form may be zero, or a rational combination of
+    the forms before it: an integer combination divided by its content.
+    """
+    n = draw(st.integers(2, 8))
+    pairs = n * (n - 1) // 2
+    uppers = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("random", "random", "combination", "zero")))
+        if kind == "combination" and uppers:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(uppers), max_size=len(uppers)))
+            upper = [sum(a * u[t] for a, u in zip(coeffs, uppers)) for t in range(pairs)]
+            g = gcd(*upper)
+            upper = [x // g for x in upper] if g else upper
+        elif kind == "zero":
+            upper = [0] * pairs
+        else:
+            entries = st.sampled_from((0, 0, 1, -1, 2, -3))
+            upper = draw(st.lists(entries, min_size=pairs, max_size=pairs))
+        uppers.append(upper)
+    return n, [tuple(map(tuple, alternating(n, upper))) for upper in uppers]
+
+
+@given(form_lists())
+@settings(max_examples=200, deadline=None)
+def test_span_basis_keeps_what_the_rank_test_keeps(args):
+    n, forms = args
+    # the same form objects, in the same order
+    assert list(map(id, _span_basis(forms, n))) == list(map(id, _rank_span_basis(forms, n)))
+
+
+def _level_inputs():
+    for n, k, m, seed in itertools.product((4, 5, 6), (2, 3), (1, 3), (1, 2)):
+        yield pytest.param(gen_random(n, k, m, 2, seed=seed), id=f"random-{n}-{k}-{m}-{seed}")
+    for mode, top in (("shared", 7), ("disjoint", 5)):
+        for n in range(2, top):
+            lam, lam_t = gen_transpose_pair(n)
+            yield pytest.param(tensor(lam, lam_t, mode), id=f"{mode}-{n}")
+
+
+@pytest.mark.parametrize("mat", _level_inputs())
+def test_level_qforms_are_independent(mat, monkeypatch):
+    # ``_level`` takes no second elimination: its restrictions stay independent
+    # at the top and at every search level of a solve.
+    calls = []
+
+    def recording_level(forms, n):
+        out = _level(forms, n)
+        calls.append((forms, out))
+        return out
+
+    monkeypatch.setattr(solver, "_level", recording_level)
+    dimension(mat, SolverOptions(node_budget=300, time_budget=1e6))
+    assert calls
+    for forms, (_, C, qforms, _) in calls:
+        assert len(qforms) == len(forms)
+        assert rank([_form_coords(M, len(C)) for M in qforms]) == len(qforms)
+
+
+def test_restrict_matches_congruence():
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        C = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        uppers = [
+            [rng.choice((0, 0, 0, 1, -2, 5)) for _ in range(n * (n - 1) // 2)]
+            for _ in range(rng.randint(0, 4))
+        ]
+        forms = [tuple(map(tuple, alternating(n, upper))) for upper in uppers]
+        assert _restrict(C, forms) == [congruence(C, M) for M in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +238,7 @@ def test_dimension_independent_parameters(n):
     assert (res.lower, res.upper, res.exact) == (1, 1, True)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_dimension_transpose_tensor(n):
     lam, lam_t = gen_transpose_pair(n)
     res = dimension(tensor(lam, lam_t, "shared"))
@@ -604,9 +701,12 @@ def test_brute_search_tree_pinned(spec, bound, value, nodes):
         brute_force_dimension(mat, bound, node_limit=nodes - 1)
 
 
-def _byte_load(p, bound) -> int:
-    # bound^2 * sum |F| over the worst form the packed table checks
-    forms = [*p.free_forms, *([p.torsion_form] if p.value_group.torsion_order > 1 else [])]
+def _byte_load(p, bound, centred=True) -> int:
+    # bound^2 * sum |F| over the worst form the packed table checks; it checks
+    # torsion residues centred, t - m for t > m/2
+    m = p.value_group.torsion_order
+    T = [[t - m if centred and 2 * t > m else t for t in row] for row in p.torsion_form]
+    forms = [*p.free_forms, *([T] if m > 1 else [])]
     return max((bound * bound * sum(abs(x) for row in M for x in row) for M in forms), default=0)
 
 
@@ -648,23 +748,55 @@ def test_packed_table_matches_pairwise(n, bound, k, m, seed):
 
 
 def test_packed_table_exact_at_the_byte_guard():
-    # One torsion pair of order 127 stores a and 127 - a, so the torsion load
-    # is exactly 127, and (1, 0, 1) pairs with itself to 127: byte 255.
+    # Centred residues of an alternating form come in pairs t, -t (or m/2,
+    # m/2), so every load is even and 126 is the largest the guard admits.
+    # One torsion pair of order 127 stores 64 and 63, centred -63 and 63, so
+    # the load is 126, and (1, 0, -1) pairs with (1, 0, 1) to -126: byte 2.
     g = ValueGroup(("q",), 127)
     mat = MultiparameterMatrix.from_upper(
         3,
         g,
-        {(1, 2): g.element((1,), 0), (1, 3): g.element((0,), 40), (2, 3): g.element((-1,), 0)},
+        {(1, 2): g.element((1,), 0), (1, 3): g.element((0,), 64), (2, 3): g.element((-1,), 0)},
     )
     p = pairing_of(mat)
-    assert _byte_load(p, 1) == _BYTE_SAFE
-    T = p.torsion_form
+    assert _byte_load(p, 1) == _BYTE_SAFE - 1
+    T = [[t - 127 if 2 * t > 127 else t for t in row] for row in p.torsion_form]
     values = {
         sum(a[s] * T[s][t] * b[t] for s in range(3) for t in range(3))
         for a, b in itertools.product(_brute_candidates(3, 1), repeat=2)
     }
-    assert {127, -127} <= values
+    assert {126, -126} <= values
     assert _commutation_table(p, 1) == _pairwise_table(mat, 1)
+
+
+def _torsion_only(m, upper):
+    g = ValueGroup((), m)
+    return MultiparameterMatrix.from_upper(3, g, {ij: g.element((), t) for ij, t in upper.items()})
+
+
+@pytest.mark.parametrize(
+    "mat, bound",
+    [
+        pytest.param(gen_random(3, 2, 11, 1, seed=1), 2, id="random-3-11"),
+        pytest.param(gen_random(4, 2, 7, 1, seed=0), 2, id="random-4-7"),
+        # (1, 0, 0) pairs with (0, 1, 1) to 200 in stored residues, past a
+        # byte, and to -54 in centred ones
+        pytest.param(_torsion_only(127, {(1, 2): 100, (1, 3): 100}), 1, id="torsion-127"),
+    ],
+)
+def test_packed_table_centres_torsion(mat, bound, monkeypatch):
+    # Stored residues in [0, m) load these tables past the guard; centred
+    # ones, congruent mod m, keep them on the packed path, which never calls
+    # ``Pairing.commutator``.
+    p = pairing_of(mat)
+    assert _byte_load(p, bound, centred=False) > _BYTE_SAFE >= _byte_load(p, bound)
+    expected = _pairwise_table(mat, bound)
+
+    def per_pair(self, a, b):
+        raise AssertionError("the table took the per-pair path")
+
+    monkeypatch.setattr(Pairing, "commutator", per_pair)
+    assert _commutation_table(p, bound) == expected
 
 
 @pytest.mark.parametrize("n, k, seed, bound", [(4, 2, 0, 1), (4, 2, 3, 2), (5, 1, 0, 1)])
