@@ -14,7 +14,8 @@ is known, so the solver reports a certified interval:
   tensor-splitting bound adds the blocks' upper bounds wherever the free
   forms split by block (the scalar-split rule), so products of factors with
   independent scalars, such as disjoint lambda (x) lambda^T, close with no
-  search.
+  search.  The generators that no free form touches (a Laurent-polynomial
+  factor) make one block, which the fold adds at its rank.
 
 The ``exact`` flag is set only when the two meet.  Exhausting the search
 budget can therefore cost exactness but never correctness.
@@ -32,8 +33,9 @@ forms spanning every alternating form on Q^m with m >= 3 (the wedge count
 leaves room for one vector above the radical).  Only the other levels are
 scanned, and each node of the budget is one candidate tried.  The
 tensor-splitting certificate solves each block by ``_interval`` on the
-forms sliced to its generators, and folds the block intervals only while
-the interval is still open.
+forms sliced to its generators, and folds the block intervals, in one table
+over block bitmasks, only while the interval is still open; the two-factor
+bound is evaluated only where the spans of the forms do not add.
 
 Torsion scalars never change the answer: if a sublattice B is isotropic for
 the free forms, then m*B (same rank) is isotropic for the full pairing
@@ -511,12 +513,20 @@ class _Searcher:
 
 
 def _components(forms, n: int) -> list[tuple[int, ...]]:
-    """Connected components of generators under 'some form pairs them'.
+    """Blocks of generators: connected components under 'some form pairs them'.
 
-    Every form is block-diagonal across the components, so the algebra of
-    the forms is the tensor product of the algebras of its blocks.
+    Every form is block-diagonal across the blocks, so the algebra of the
+    forms is the tensor product of the algebras of its blocks.  The
+    generators that no form touches share one block, after the others: it
+    is the Laurent-polynomial factor F[X^+-1] of the central generators.
+    The fold's value does not depend on how they are grouped.  Such a block
+    has no forms, so its interval is [r, r] at its rank r, its span is 0 and
+    its center is not trivial; under every bipartition of the blocks the
+    spans then add across its side (``_fold``), so it adds exactly its rank,
+    whether its generators form one block or one block each.
     """
-    seen = [False] * n
+    seen = [not any(any(F[i]) for F in forms) for i in range(n)]
+    idle = tuple(i for i in range(n) if seen[i])
     comps = []
     for start in range(n):
         if seen[start]:
@@ -531,7 +541,7 @@ def _components(forms, n: int) -> list[tuple[int, ...]]:
                     seen[j] = True
                     stack.append(j)
         comps.append(tuple(sorted(comp)))
-    return comps
+    return comps + [idle] if idle else comps
 
 
 def _sliced(F, idxs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -559,61 +569,61 @@ def _pair_bound(lo1, hi1, r1, cf1, lo2, hi2, r2, cf2) -> int:
 def _fold(blocks: list) -> int:
     """Upper bound for the tensor product of blocks ``(forms, lo, hi)``.
 
-    Folds the block intervals over all bipartitions s1 | s2 of each subset
-    of blocks.  Each bipartition contributes the two-factor bound
-    ``_pair_bound`` and, when the scalars split by block, the sum h1 + h2
-    of the two sides' upper bounds.  A block's center is trivial exactly
-    when its stacked forms have full rank.
+    One table keyed by block bitmask holds, for each subset s of blocks,
+    ``(lo, hi, r, cf, d, coords)``: the sum of the blocks' lower bounds, an
+    upper bound, the rank, whether the center is trivial, the dimension d of
+    the span of the forms restricted to s, and those restrictions'
+    upper-triangle coordinates.  A subset's lo, r, cf and coords come from
+    its lowest block plus the rest.  A block's center is trivial exactly
+    when its stacked forms have full rank.  The bipartitions s1 | s2 of a
+    subset are the proper submasks s1 that contain its lowest block, and
+    each is bounded by one rule: h1 + h2 where the spans add (d1 + d2 = d,
+    the scalar-split rule), and the two-factor bound ``_pair_bound``
+    elsewhere.
+
+    Where the spans add this is the minimum of both bounds, as every side
+    has h <= r: ``_pair_bound`` starts at min(h1 + r2, h2 + r1) >= h1 + h2,
+    takes 1 off only when h < r on both sides, and 2 only when r - h >= 2
+    on both sides, so it never falls below h1 + h2.
 
     The scalar-split rule is sound: every form is block-diagonal across
-    blocks, so its restriction F|s to a subset s is its blocks on s, and the
-    fold table records span(s), the dimension of the span of the restricted
-    forms.  span(s1 u s2) is at most span(s1) + span(s2), with equality
-    exactly when the span of the forms on s1 u s2 is the direct sum of the
-    spans of their restrictions; then each F|s1 (+) 0 lies in the rational
-    span of the forms.  An isotropic B is isotropic for every rational
-    combination of the forms, so its projections pi1(B) and pi2(B) are
-    isotropic for the forms on s1 and on s2, and rank B <= rank pi1(B) +
-    rank pi2(B) <= h1 + h2.  Independent scalars on each factor, as in the
-    iterated products B_q1 (x) ... (x) B_qk, make the spans add up.
+    blocks, so its restriction F|s to a subset s is its blocks on s.  d(s1
+    u s2) is at most d(s1) + d(s2), with equality exactly when the span of
+    the forms on s1 u s2 is the direct sum of the spans of their
+    restrictions; then each F|s1 (+) 0 lies in the rational span of the
+    forms.  An isotropic B is isotropic for every rational combination of
+    the forms, so its projections pi1(B) and pi2(B) are isotropic for the
+    forms on s1 and on s2, and rank B <= rank pi1(B) + rank pi2(B) <= h1 +
+    h2.  Independent scalars on each factor, as in the iterated products
+    B_q1 (x) ... (x) B_qk, make the spans add up, and so does a block that
+    no form touches (``_components``).
 
     The sum of the blocks' lower bounds is certified by their joined
     witnesses, so a subset whose bound falls below it is a fault.
     """
-    coords = [[_form_coords(F, len(F)) for F in forms] for forms, _, _ in blocks]
-    k = len(coords[0])
-
-    def span(combo) -> int:
-        """Dimension of the span of the forms restricted to the blocks ``combo``."""
-        return rank([sum((coords[i][l] for i in combo), []) for l in range(k)])
-
-    singles = []
-    for forms, lo, hi in blocks:
+    table = {}
+    for i, (forms, lo, hi) in enumerate(blocks):
         r = len(forms[0])
-        singles.append((lo, hi, r, rank([row for M in forms for row in M]) == r))
-    table = {frozenset([i]): (*single, span([i])) for i, single in enumerate(singles)}
-    indices = list(range(len(blocks)))
-    for size in range(2, len(blocks) + 1):
-        for combo in itertools.combinations(indices, size):
-            fs = frozenset(combo)
-            lo = sum(singles[i][0] for i in combo)
-            rk = sum(singles[i][2] for i in combo)
-            cf = all(singles[i][3] for i in combo)
-            d = span(combo)
-            hi = rk
-            head, rest = combo[0], combo[1:]
-            for r in range(len(rest)):
-                for pick in itertools.combinations(rest, r):
-                    s1 = frozenset([head, *pick])
-                    l1, h1, r1, c1, d1 = table[s1]
-                    l2, h2, r2, c2, d2 = table[fs - s1]
-                    hi = min(hi, _pair_bound(l1, h1, r1, c1, l2, h2, r2, c2))
-                    if d1 + d2 == d:
-                        hi = min(hi, h1 + h2)
-            if hi < lo:
-                raise AssertionError("split upper bound fell below the blocks' lower bounds")
-            table[fs] = (lo, hi, rk, cf, d)
-    return table[frozenset(indices)][1]
+        coords = [_form_coords(F, r) for F in forms]
+        table[1 << i] = (lo, hi, r, rank([row for M in forms for row in M]) == r, rank(coords), coords)
+    for mask in range(1, 1 << len(blocks)):
+        low = mask & -mask
+        rest = mask ^ low
+        if not rest:
+            continue
+        l1, _, r1, c1, _, x1 = table[low]
+        l2, _, r2, c2, _, x2 = table[rest]
+        coords = [a + b for a, b in zip(x1, x2)]
+        lo, hi, d = l1 + l2, r1 + r2, rank(coords)
+        s = rest
+        while s:
+            s = (s - 1) & rest
+            e1, e2 = table[low | s], table[rest ^ s]
+            hi = min(hi, e1[1] + e2[1] if e1[4] + e2[4] == d else _pair_bound(*e1[:4], *e2[:4]))
+        if hi < lo:
+            raise AssertionError("split upper bound fell below the blocks' lower bounds")
+        table[mask] = (lo, hi, r1 + r2, c1 and c2, d, coords)
+    return table[mask][1]
 
 
 # ---------------------------------------------------------------------------
@@ -867,8 +877,11 @@ def brute_force_dimension(
     ``_BRUTE_MAX_CANDIDATES`` candidates), and with ``node_limit`` set also
     refuses (deterministically) instances whose search tree outgrows the
     limit, so callers never receive an under-explored maximum.  Each search
-    node costs one unit of ``node_limit``, which must not be negative.
+    node costs one unit of ``node_limit``.  A negative ``entry_bound`` or
+    ``node_limit`` is a ``ValueError``.
     """
+    if entry_bound < 0:
+        raise ValueError(f"entry_bound must be >= 0, got {entry_bound}")
     if node_limit is not None and node_limit < 0:
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     n = mat.rank

@@ -50,12 +50,14 @@ def announce(num, ok, text):
     assert ok, f"criterion {num}: {text}"
 
 
-def run_cli(*args):
+def start_cli(*args):
+    """Start ``python -m qtorus`` with ``args``, its stdout and stderr piped as text."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
+    return subprocess.Popen(
         [sys.executable, "-m", "qtorus", *args],
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
     )
@@ -357,10 +359,11 @@ def test_criterion_10_cli_contract(tmp_path):
         ok = ok and parse(serialize(mat)) == mat
         ok = ok and dumps(parse(dumps(mat))) == dumps(mat)
 
-    first = run_cli("verify", "--trials", "500", "--seed", "7", "--json")
-    ok = ok and first.returncode == 0
-    doc = json.loads(first.stdout)
+    # both runs start before either is read, so they can overlap
+    runs = [start_cli("verify", "--trials", "500", "--seed", "7", "--json") for _ in range(2)]
+    first, second = (run.communicate()[0] for run in runs)
+    ok = ok and runs[0].returncode == 0
+    doc = json.loads(first)
     ok = ok and doc["violations"] == [] and doc["anomalies"] == []
-    second = run_cli("verify", "--trials", "500", "--seed", "7", "--json")
-    ok = ok and second.stdout == first.stdout and second.returncode == 0
+    ok = ok and second == first and runs[1].returncode == 0
     announce(10, ok, "100 round-trips; verify --trials 500 --seed 7 exits 0, byte-identical reruns")

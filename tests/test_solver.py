@@ -500,6 +500,7 @@ def random_factor_pairs(mode, m, count, seed):
     Half the second factors are the transpose of the first: on shared
     scalars their forms are negatives of each other, so the spans do not
     add up and the product can exceed the sum of the factors' dimensions.
+    A third of the products take a commutative factor as well, up to rank 6.
     """
     rng = random.Random(seed)
     for _ in range(count):
@@ -510,7 +511,20 @@ def random_factor_pairs(mode, m, count, seed):
             b = transpose(a)
         else:
             b = gen_random(rng.randint(1, 3), k2, m, seed=rng.randrange(10**6))
-        yield tensor(a, b, mode)
+        mat = tensor(a, b, mode)
+        if mat.rank < 6 and rng.random() < 1 / 3:
+            mat = tensor(mat, gen_commutative(rng.randint(1, 6 - mat.rank)), mode)
+        yield mat
+
+
+def split_blocks(forms, comps, opts):
+    """``_fold``'s input: each block's sliced forms with its ``_interval`` bounds."""
+    blocks = []
+    for comp in comps:
+        sliced = tuple(_sliced(F, comp) for F in forms)
+        lo, hi, _ = _interval(sliced, len(comp), opts, _Budget(opts))
+        blocks.append((sliced, lo, hi))
+    return blocks
 
 
 @pytest.mark.parametrize("mode", ["shared", "disjoint"])
@@ -522,13 +536,195 @@ def test_split_certificate_never_below_oracle(mode, m):
         comps = _components(forms, mat.rank)
         oracle = brute_force_dimension(mat, 1)
         if len(comps) >= 2:
-            blocks = []
-            for comp in comps:
-                sliced = tuple(_sliced(F, comp) for F in forms)
-                lo, hi, _ = _interval(sliced, len(comp), opts, _Budget(opts))
-                blocks.append((sliced, lo, hi))
-            assert _fold(blocks) >= oracle
+            assert _fold(split_blocks(forms, comps, opts)) >= oracle
         assert dimension(mat, opts).upper >= oracle
+
+
+def reference_fold(blocks):
+    """The fold as a frozenset table that takes both bounds at every bipartition.
+
+    Every bipartition contributes ``_pair_bound``, and also h1 + h2 where
+    the spans of the restricted forms add.
+    """
+    coords = [[_form_coords(F, len(F)) for F in forms] for forms, _, _ in blocks]
+    k = len(coords[0])
+
+    def span(combo):
+        return rank([sum((coords[i][l] for i in combo), []) for l in range(k)])
+
+    table = {}
+    for i, (forms, lo, hi) in enumerate(blocks):
+        r = len(forms[0])
+        table[frozenset([i])] = (lo, hi, r, rank([row for M in forms for row in M]) == r)
+    for size in range(2, len(blocks) + 1):
+        for combo in itertools.combinations(range(len(blocks)), size):
+            fs = frozenset(combo)
+            singles = [table[frozenset([i])] for i in combo]
+            rk = sum(t[2] for t in singles)
+            hi, d = rk, span(combo)
+            for r in range(size - 1):
+                for pick in itertools.combinations(combo[1:], r):
+                    s1 = frozenset([combo[0], *pick])
+                    a, b = table[s1], table[fs - s1]
+                    hi = min(hi, solver._pair_bound(*a, *b))
+                    if span(s1) + span(fs - s1) == d:
+                        hi = min(hi, a[1] + b[1])
+            lo = sum(t[0] for t in singles)
+            if hi < lo:
+                raise AssertionError("split upper bound fell below the blocks' lower bounds")
+            table[fs] = (lo, hi, rk, all(t[3] for t in singles))
+    return table[frozenset(range(len(blocks)))][1]
+
+
+def random_products(mode, count, seed):
+    """Seeded tensor products of 2-4 factors: random forms, transposes, commutative.
+
+    ``mode`` "mixed" draws shared or disjoint for each tensor step.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.choice((1, 3))
+        k = rng.randint(1, 3)
+        factors = []
+        for _ in range(rng.randint(2, 4)):
+            pick = rng.random()
+            if pick < 0.2:
+                factors.append(gen_commutative(rng.randint(1, 3)))
+            elif pick < 0.4 and factors:
+                factors.append(transpose(factors[-1]))
+            else:
+                factors.append(gen_random(rng.randint(1, 3), k, m, seed=rng.randrange(10**6)))
+        mat = factors[0]
+        for f in factors[1:]:
+            mat = tensor(mat, f, rng.choice(("shared", "disjoint")) if mode == "mixed" else mode)
+        yield mat
+
+
+def one_block_per_idle_generator(forms, comps):
+    """``comps`` with the block that no form touches split into one block per generator."""
+    out = []
+    for comp in comps:
+        if any(F[i][j] for F in forms for i in comp for j in comp):
+            out.append(comp)
+        else:
+            out.extend((i,) for i in comp)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["shared", "disjoint", "mixed"])
+def test_fold_matches_reference(mode):
+    # The one-rule bitmask fold equals the fold that takes both bounds at
+    # every bipartition, on the blocks of ``_components`` and on the same
+    # blocks with every idle generator a block of its own.
+    opts = SolverOptions(time_budget=1e6)
+    compared = 0
+    for mat in random_products(mode, 60, seed=f"fold-{mode}"):
+        forms = pairing_of(mat).free_forms
+        if not forms:
+            continue
+        comps = _components(forms, mat.rank)
+        if len(comps) < 2:
+            continue
+        blocks = split_blocks(forms, comps, opts)
+        value = _fold(blocks)
+        assert value == reference_fold(blocks)
+        compared += 1
+        apart = one_block_per_idle_generator(forms, comps)
+        if len(apart) != len(comps) and len(apart) <= 9:
+            assert value == reference_fold(split_blocks(forms, apart, opts))
+            compared += 1
+    assert compared >= 40
+
+
+def random_blocks(rng):
+    """2-6 blocks of rank 1-5 on k shared forms, each block on a random subset of them.
+
+    A block's interval is any [lo, hi] with 1 <= lo <= hi <= its rank, so the
+    two-factor bound's strict steps and center flags all come into play.
+    """
+    k = rng.randint(1, 3)
+    blocks = []
+    for _ in range(rng.randint(2, 6)):
+        r = rng.randint(1, 5)
+        on = [rng.random() < 0.6 for _ in range(k)]
+        forms = []
+        for l in range(k):
+            forms.append(alternating(r, [rng.randint(-1, 1) * on[l] for _ in range(r * (r - 1) // 2)]))
+        lo = rng.randint(1, r)
+        blocks.append((tuple(forms), lo, rng.randint(lo, r)))
+    return blocks
+
+
+def test_fold_matches_reference_on_synthetic_blocks():
+    rng = random.Random("fold-synthetic")
+    for _ in range(400):
+        blocks = random_blocks(rng)
+        try:
+            expected = reference_fold(blocks)
+        except AssertionError:
+            with pytest.raises(AssertionError, match="split upper bound"):
+                _fold(blocks)
+        else:
+            assert _fold(blocks) == expected
+    # a block whose lower bound exceeds its upper bound is a fault
+    zero = ([[0, 0], [0, 0]],)
+    with pytest.raises(AssertionError, match="split upper bound"):
+        _fold([(zero, 3, 2), (zero, 2, 2)])
+
+
+@pytest.mark.parametrize("mode", ["shared", "disjoint", "mixed"])
+def test_components_partition_the_generators(mode):
+    for mat in random_products(mode, 40, seed=f"components-{mode}"):
+        n = mat.rank
+        forms = pairing_of(mat).free_forms
+        comps = _components(forms, n)
+        assert sorted(i for comp in comps for i in comp) == list(range(n))
+        block = {i: b for b, comp in enumerate(comps) for i in comp}
+        for F in forms:
+            assert all(F[i][j] == 0 for i in range(n) for j in range(n) if block[i] != block[j])
+        idle = [i for i in range(n) if not any(any(F[i]) for F in forms)]
+        assert len({block[i] for i in idle}) <= 1
+
+
+def counting_pair_bound(monkeypatch):
+    """Patch ``solver._pair_bound`` to count its calls; returns the one-item counter."""
+    calls = [0]
+    pair_bound = solver._pair_bound
+
+    def counted(*args):
+        calls[0] += 1
+        return pair_bound(*args)
+
+    monkeypatch.setattr(solver, "_pair_bound", counted)
+    return calls
+
+
+@pytest.mark.parametrize("c", range(2, 10))
+def test_central_generators_are_one_block(c, monkeypatch):
+    # lambda (x) lambda^T (n = 4, shared) tensor F[X_1^+-1, ..., X_c^+-1]:
+    # the c central generators are one block, so the fold has three blocks
+    # and calls the two-factor bound only where the shared scalars keep the
+    # spans from adding.  With one block per generator it made 86,526 calls
+    # at c = 9.
+    calls = counting_pair_bound(monkeypatch)
+    lam, lam_t = gen_transpose_pair(4)
+    res = dimension(tensor(tensor(lam, lam_t, "shared"), gen_commutative(c), "shared"))
+    assert (res.lower, res.upper, res.exact) == (4 + c, 4 + c, True)
+    assert calls[0] <= 3
+
+
+@pytest.mark.parametrize("t", [4, 5, 6])
+def test_disjoint_products_fold_by_scalar_split(t, monkeypatch):
+    # Disjoint lambda_3^(x t): every bipartition has spans that add, so the
+    # fold never calls the two-factor bound.
+    calls = counting_pair_bound(monkeypatch)
+    lam = gen_transpose_pair(3)[0]
+    mat = lam
+    for _ in range(t - 1):
+        mat = tensor(mat, lam, "disjoint")
+    res = dimension(mat)
+    assert (res.lower, res.upper, res.exact) == (t, t, True)
+    assert calls[0] == 0
 
 
 def iterated_product(k):
@@ -545,7 +741,7 @@ def test_iterated_product_closes_without_fold(monkeypatch):
     def refuse(*args):
         raise AssertionError("the block fold ran on a closed interval")
 
-    monkeypatch.setattr(solver, "_pair_bound", refuse)
+    monkeypatch.setattr(solver, "_fold", refuse)
     for k in range(2, 13):
         mat = iterated_product(k)
         res = dimension(mat)
@@ -660,6 +856,12 @@ def test_brute_rejects_negative_node_limit():
         brute_force_dimension(gen_commutative(2), node_limit=-1)
     with pytest.raises(ResourceLimitError):
         brute_force_dimension(gen_commutative(2), node_limit=0)
+
+
+def test_brute_rejects_negative_entry_bound():
+    with pytest.raises(ValueError):
+        brute_force_dimension(gen_commutative(3), -1)
+    assert brute_force_dimension(gen_commutative(3), 1) == 3
 
 
 # (instance, entry bound, oracle value, search nodes), pinned from the
