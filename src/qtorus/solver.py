@@ -10,12 +10,17 @@ is known, so the solver reports a certified interval:
   by a deterministic search, and
 * the upper bound is the minimum of several independently sound
   certificates (pencil ranks, an exterior-square dimension count, and a
-  tensor-splitting bound), each documented at its implementation.  The
+  tensor-splitting bound), each documented at its implementation, and
+  taken cheapest first, each only while it can still lower the bound.  The
   tensor-splitting bound adds the blocks' upper bounds wherever the free
   forms split by block (the scalar-split rule), so products of factors with
-  independent scalars, such as disjoint lambda (x) lambda^T, close with no
-  search.  The generators that no free form touches (a Laurent-polynomial
-  factor) make one block, which the fold adds at its rank.
+  independent scalars, such as disjoint lambda (x) lambda^T and the
+  iterated products B_q1 (x) ... (x) B_qk, close with no search; when the
+  spans of all blocks add it is that sum outright, with no table.  The
+  generators that no free form touches (a Laurent-polynomial factor) make
+  one block, which the fold adds at its rank.  On shared lambda (x)
+  lambda^T of rank 2n the fold runs first and certifies n, which no pencil
+  sample can go below, so the pencil takes no sample.
 
 The ``exact`` flag is set only when the two meet.  Exhausting the search
 budget can therefore cost exactness but never correctness.
@@ -35,7 +40,8 @@ scanned, and each node of the budget is one candidate tried.  The
 tensor-splitting certificate solves each block by ``_interval`` on the
 forms sliced to its generators, and folds the block intervals, in one table
 over block bitmasks, only while the interval is still open; the two-factor
-bound is evaluated only where the spans of the forms do not add.
+bound is evaluated only where the spans of the forms do not add, and the
+table is built only where they do not add across all blocks.
 
 Torsion scalars never change the answer: if a sublattice B is isotropic for
 the free forms, then m*B (same rank) is isotropic for the full pairing
@@ -260,22 +266,24 @@ def _combo_vectors(k: int, opts: SolverOptions):
             yield c
 
 
-def _pencil_upper(forms: list, n: int, opts: SolverOptions) -> int:
-    """Upper bound from single-form ranks of sampled integer combinations.
+def _pencil_upper(forms: list, n: int, opts: SolverOptions, best: int, lower: int) -> int:
+    """Lower the upper bound ``best`` by single-form ranks of sampled integer combinations.
 
     A common isotropic sublattice is isotropic for every integer
     combination of the forms, hence its rank is at most n minus half the
-    combination's matrix rank.
+    combination's matrix rank.  No combination bounds below n - n // 2 (half
+    a matrix rank is at most n // 2), nor below ``lower``, the rank of a
+    certified witness.  So a sample is taken only while ``best`` is above
+    both, and the result is the minimum of ``best`` and of every sample, as
+    though all were taken; after a fold that reached either, none is.
     """
-    best = n
-    floor = n - n // 2
+    floor = max(lower, n - n // 2)
     for c in _combo_vectors(len(forms), opts):
-        F = _combination(c, forms)
-        if not any(map(any, F)):
-            continue
-        best = min(best, n - skew_rank(F))
-        if best == floor:
+        if best <= floor:
             break
+        F = _combination(c, forms)
+        if any(map(any, F)):
+            best = min(best, n - skew_rank(F))
     return best
 
 
@@ -598,14 +606,28 @@ def _fold(blocks: list) -> int:
     B_q1 (x) ... (x) B_qk, make the spans add up, and so does a block that
     no form touches (``_components``).
 
+    Where the spans of all blocks add (the rank of their stacked
+    coordinates is the sum of the blocks' d), the fold is the sum of the
+    blocks' upper bounds, from b + 1 ranks and no table.  The spans then
+    add on every bipartition of every subset, since d(s1 u s2) <= d(s1) +
+    d(s2) and each d(s) is at most the sum of its blocks' d; so every
+    bipartition takes h1 + h2, and by induction on the subset's size each
+    subset's bound is the sum of its blocks' h (each h <= r).
+
     The sum of the blocks' lower bounds is certified by their joined
     witnesses, so a subset whose bound falls below it is a fault.
     """
+    coords = [[_form_coords(F, len(F)) for F in forms] for forms, _, _ in blocks]
+    dims = [rank(x) for x in coords]
+    if rank([sum(rows, []) for rows in zip(*coords)]) == sum(dims):
+        lo, hi = sum(b[1] for b in blocks), sum(b[2] for b in blocks)
+        if hi < lo:
+            raise AssertionError("split upper bound fell below the blocks' lower bounds")
+        return hi
     table = {}
     for i, (forms, lo, hi) in enumerate(blocks):
         r = len(forms[0])
-        coords = [_form_coords(F, r) for F in forms]
-        table[1 << i] = (lo, hi, r, rank([row for M in forms for row in M]) == r, rank(coords), coords)
+        table[1 << i] = (lo, hi, r, rank([row for M in forms for row in M]) == r, dims[i], coords[i])
     for mask in range(1, 1 << len(blocks)):
         low = mask & -mask
         rest = mask ^ low
@@ -634,23 +656,38 @@ def _interval(forms, n: int, opts: SolverOptions, budget: _Budget):
     """Certified ``(lower, upper, rows)`` for the integer alternating ``forms`` on Z^n.
 
     ``rows`` span a sublattice of rank at least ``lower`` on which every
-    form vanishes.  A level that ``_level`` closes is exact.  Otherwise the
-    upper bound is the pencil and wedge bounds above the radical; where the
-    forms split into blocks (``_components``), each block is solved on its
-    sliced forms, the joined block witnesses give a lower bound, and, only
-    while the interval is still open, the fold (``_fold``) of the block
-    intervals may lower the upper bound.  The search runs last, and only
-    while the interval is open.
+    form vanishes.  A level that ``_level`` closes is exact.  Otherwise,
+    where the forms split into blocks (``_components``), each block is
+    solved on its sliced forms and the joined block witnesses give a lower
+    bound.  The upper bound is the minimum of three sound bounds above the
+    radical, taken cheapest first and each only while it can still lower
+    it:
+
+    * the wedge count, which is free;
+    * the fold (``_fold``) of the b block intervals, about 2^b rank
+      computations (one per subset of the blocks), run only while lower <
+      upper, since the fold is sound and so never below a certified lower
+      bound;
+    * the pencil (``_pencil_upper``), one skew rank per sample, which
+      samples only while the bound is above every value a combination can
+      give.
+
+    The fold runs before the pencil when 2^b <= ``combo_samples``, and
+    after it otherwise.  A bound is skipped only where it cannot go lower,
+    so the upper bound, and the search target upper - r0, are the minimum
+    of all three in either order.  The search runs last, and only while
+    the interval is open.
     """
     rad_rows, comp_rows, qforms, closed = _level(_span_basis(forms, n), n)
     if closed is not None:
         return len(closed), len(closed), closed
     r0, mq = len(rad_rows), len(comp_rows)
-    upper = r0 + min(_pencil_upper(qforms, mq, opts), _wedge_upper(len(qforms), mq))
+    upper = r0 + _wedge_upper(len(qforms), mq)
     lower, rows = r0, rad_rows
     comps = _components(forms, n)
+    blocks = []
     if len(comps) >= 2:
-        blocks, joined = [], []
+        joined = []
         for comp in comps:
             sliced = tuple(_sliced(F, comp) for F in forms)
             lo, hi, block_rows = _interval(sliced, len(comp), opts, budget)
@@ -663,8 +700,12 @@ def _interval(forms, n: int, opts: SolverOptions, budget: _Budget):
         split_lower = sum(lo for _, lo, _ in blocks)
         if split_lower > lower:
             lower, rows = split_lower, joined
-        if lower < upper:
-            upper = min(upper, _fold(blocks))
+    fold_first = 1 << len(blocks) <= opts.combo_samples
+    if blocks and fold_first and lower < upper:
+        upper = min(upper, _fold(blocks))
+    upper = r0 + _pencil_upper(qforms, mq, opts, upper - r0, lower - r0)
+    if blocks and not fold_first and lower < upper:
+        upper = min(upper, _fold(blocks))
     if lower < upper:
         found, rows_q, _ = _Searcher(opts, budget)._solve(qforms, mq, upper - r0)
         if r0 + found > lower:

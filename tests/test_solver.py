@@ -672,6 +672,75 @@ def test_fold_matches_reference_on_synthetic_blocks():
         _fold([(zero, 3, 2), (zero, 2, 2)])
 
 
+def disjoint_support_blocks(rng):
+    """2-6 blocks of rank 1-5, each on forms of its own: the spans of all blocks add.
+
+    Every block has up to two forms that no other block touches; its
+    intervals are drawn as ``random_blocks`` draws them.
+    """
+    own = [rng.randint(0, 2) for _ in range(rng.randint(2, 6))]
+    k = max(1, sum(own))
+    blocks, start = [], 0
+    for count in own:
+        r = rng.randint(1, 5)
+        pairs = r * (r - 1) // 2
+        forms = [alternating(r, [0] * pairs) for _ in range(k)]
+        for l in range(start, start + count):
+            forms[l] = alternating(r, [rng.randint(-1, 1) for _ in range(pairs)])
+        start += count
+        lo = rng.randint(1, r)
+        blocks.append((tuple(forms), lo, rng.randint(lo, r)))
+    return blocks
+
+
+def test_linear_fold_matches_reference(monkeypatch):
+    # Where the spans of all blocks add, the fold is the sum of the blocks'
+    # upper bounds, from b + 1 ranks and no table.
+    rng = random.Random("fold-linear")
+    draws = [disjoint_support_blocks(rng) for _ in range(300)]
+    expected = [reference_fold(blocks) for blocks in draws]
+    ranks = [0]
+
+    def counted(rows):
+        ranks[0] += 1
+        return rank(rows)
+
+    monkeypatch.setattr(solver, "rank", counted)
+    for blocks, value in zip(draws, expected):
+        ranks[0] = 0
+        assert _fold(blocks) == value == sum(hi for _, _, hi in blocks)
+        assert ranks[0] == len(blocks) + 1
+        # every block's lower bound above its upper bound is a fault here too
+        with pytest.raises(AssertionError, match="split upper bound"):
+            _fold([(forms, hi + 1, hi) for forms, _, hi in blocks])
+
+
+def test_folding_by_classes_is_not_the_fold():
+    # Split the blocks into the finest classes whose spans add, fold inside
+    # each class and add: the sum can exceed the fold of all blocks, which
+    # bounds pairs across the classes too.  Found in 3,000 ``random_blocks``
+    # draws from random.Random(0); only where the spans of all blocks add is
+    # the fold a sum (of the blocks' upper bounds).
+    zero = [0] * 10
+    spec = [  # rank, upper-triangle coordinates of the three forms, lo, hi
+        (2, ([0], [-1], [0]), 2, 2),
+        (5, ([-1, 0, 1, 1, -1, -1, 0, 0, 1, 0], zero, [0, 0, -1, 0, 1, -1, 0, 0, 1, 1]), 1, 2),
+        (3, ([1, -1, 0], zero[:3], [0, 0, -1]), 1, 2),
+        (2, ([0], [-1], [0]), 1, 2),
+        (4, ([0, 0, -1, -1, -1, 1], zero[:6], [0, -1, -1, 1, 0, 1]), 1, 1),
+    ]
+    blocks = [(tuple(alternating(r, c) for c in coords), lo, hi) for r, coords, lo, hi in spec]
+    classes = [(0, 3), (1, 2, 4)]
+
+    def span_dim(idxs):
+        coords = [[_form_coords(F, len(F)) for F in blocks[i][0]] for i in idxs]
+        return rank([sum(rows, []) for rows in zip(*coords)])
+
+    assert span_dim(range(5)) == sum(span_dim(c) for c in classes) < sum(span_dim([i]) for i in range(5))
+    assert _fold(blocks) == reference_fold(blocks) == 10
+    assert sum(_fold([blocks[i] for i in c]) for c in classes) == 11
+
+
 @pytest.mark.parametrize("mode", ["shared", "disjoint", "mixed"])
 def test_components_partition_the_generators(mode):
     for mat in random_products(mode, 40, seed=f"components-{mode}"):
@@ -713,10 +782,11 @@ def test_central_generators_are_one_block(c, monkeypatch):
     assert calls[0] <= 3
 
 
-@pytest.mark.parametrize("t", [4, 5, 6])
+@pytest.mark.parametrize("t", range(4, 12))
 def test_disjoint_products_fold_by_scalar_split(t, monkeypatch):
-    # Disjoint lambda_3^(x t): every bipartition has spans that add, so the
-    # fold never calls the two-factor bound.
+    # Disjoint lambda_3^(x t): the spans of all t blocks add, so the fold is
+    # the sum of their upper bounds and never calls the two-factor bound.
+    # It runs before the pencil for t <= 6 and after it from t = 7 on.
     calls = counting_pair_bound(monkeypatch)
     lam = gen_transpose_pair(3)[0]
     mat = lam
@@ -735,18 +805,72 @@ def iterated_product(k):
     return mat
 
 
-def test_iterated_product_closes_without_fold(monkeypatch):
-    # The pencil bound (the sum of the k forms is nondegenerate) meets the
-    # joined block witnesses, so the fold over the blocks never runs.
+def test_iterated_product_closes_without_pair_bound(monkeypatch):
+    # Up to six blocks the fold runs first, and as the spans of the k blocks
+    # add it is the sum of their upper bounds.  From seven blocks on the
+    # pencil runs first: the sum of the k forms is nondegenerate, which
+    # meets the joined block witnesses, so the fold does not run.  Either
+    # way the fold's table, and the two-factor bound, never run.
     def refuse(*args):
-        raise AssertionError("the block fold ran on a closed interval")
+        raise AssertionError("the two-factor bound ran on independent scalars")
 
-    monkeypatch.setattr(solver, "_fold", refuse)
+    monkeypatch.setattr(solver, "_pair_bound", refuse)
     for k in range(2, 13):
         mat = iterated_product(k)
         res = dimension(mat)
         assert (res.lower, res.upper, res.exact) == (k, k, True)
         assert is_commutative(pairing_of(mat), res.witness)
+
+
+def test_many_shared_blocks_close_on_the_pencil(monkeypatch):
+    # Ten rank-2 factors on two shared scalars: 2^10 > combo_samples, so the
+    # pencil runs before the fold, meets the joined block witnesses at 10,
+    # and the fold (a 3^10 table here) never runs.
+    def refuse(*args):
+        raise AssertionError("the block fold ran on a closed interval")
+
+    monkeypatch.setattr(solver, "_fold", refuse)
+    mat = gen_random(2, 2, seed=1)
+    for i in range(1, 10):
+        mat = tensor(mat, gen_random(2, 2, seed=1 + 10 * i), "shared")
+    res = dimension(mat)
+    assert (res.lower, res.upper, res.exact) == (10, 10, True)
+
+
+def counting_pencil_samples(monkeypatch):
+    """Count the skew ranks made inside ``solver._pencil_upper``; returns the one-item counter."""
+    calls, inside = [0], [False]
+    skew_rank, pencil_upper = solver.skew_rank, solver._pencil_upper
+
+    def counted(M):
+        calls[0] += inside[0]
+        return skew_rank(M)
+
+    def traced(*args):
+        inside[0] = True
+        try:
+            return pencil_upper(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(solver, "skew_rank", counted)
+    monkeypatch.setattr(solver, "_pencil_upper", traced)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "mode, n", [("shared", n) for n in range(2, 10)] + [("disjoint", n) for n in range(2, 6)]
+)
+def test_pencil_skips_where_the_fold_reached_its_floor(mode, n, monkeypatch):
+    # lambda (x) lambda^T has two blocks, so the fold runs first.  Shared, it
+    # certifies n on rank 2n, where no pencil sample can go lower; disjoint,
+    # it certifies 2, the joined block witnesses.  The pencil samples nothing.
+    calls = counting_pencil_samples(monkeypatch)
+    lam, lam_t = gen_transpose_pair(n)
+    res = dimension(tensor(lam, lam_t, mode))
+    truth = n if mode == "shared" else 2
+    assert (res.lower, res.upper, res.exact) == (truth, truth, True)
+    assert calls[0] == 0
 
 
 def strip_torsion(mat):
