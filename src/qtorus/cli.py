@@ -81,14 +81,20 @@ def _solver_options(args) -> SolverOptions:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--bound", type=_at_least(0), default=2, help="search box half-width")
+    defaults = SolverOptions()
     p.add_argument(
-        "--combo-samples", type=_at_least(0), default=64, help="pencil combinations to sample"
+        "--bound", type=_at_least(0), default=defaults.search_bound, help="search box half-width"
+    )
+    p.add_argument(
+        "--combo-samples",
+        type=_at_least(0),
+        default=defaults.combo_samples,
+        help="pencil combinations to sample",
     )
     p.add_argument(
         "--time-budget",
         type=float,
-        default=10.0,
+        default=defaults.time_budget,
         help="seconds before the search degrades to an interval",
     )
     p.add_argument("--json", action="store_true", help="compact canonical JSON on stdout")
@@ -345,7 +351,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (InstanceFormatError, PairingError, ValueGroupError, FileNotFoundError) as exc:
+    except (InstanceFormatError, PairingError, ValueGroupError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -89,16 +89,18 @@ def parse(source) -> MultiparameterMatrix:
     """Load an instance from a dict, a JSON string, a path, or a stream."""
     if isinstance(source, dict):
         return parse_dict(source)
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, str):
-        text = Path(source).read_text() if not source.lstrip().startswith("{") else source
-    elif hasattr(source, "read"):
-        text = source.read()
-    else:
-        _fail("document", f"cannot read instance from {type(source).__name__}")
     try:
+        if isinstance(source, Path):
+            text = source.read_text()
+        elif isinstance(source, str):
+            text = Path(source).read_text() if not source.lstrip().startswith("{") else source
+        elif hasattr(source, "read"):
+            text = source.read()
+        else:
+            _fail("document", f"cannot read instance from {type(source).__name__}")
         doc = json.loads(text)
+    except UnicodeDecodeError as exc:
+        _fail("document", f"not {exc.encoding} text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         _fail("document", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     return parse_dict(doc)

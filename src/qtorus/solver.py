@@ -11,12 +11,14 @@ is known, so the solver reports a certified interval:
 * the upper bound is the minimum of several independently sound
   certificates (pencil ranks, an exterior-square dimension count, and a
   tensor-splitting bound), each documented at its implementation, and
-  taken cheapest first, each only while it can still lower the bound.  The
-  tensor-splitting bound adds the blocks' upper bounds wherever the free
-  forms split by block (the scalar-split rule), so products of factors with
-  independent scalars, such as disjoint lambda (x) lambda^T and the
-  iterated products B_q1 (x) ... (x) B_qk, close with no search; when the
-  spans of all blocks add it is that sum outright, with no table.  The
+  taken cheapest first, each only while it can still lower the bound: the
+  wedge count, then the fold of the tensor blocks and the pencil, the fold
+  first when its table is small or not needed.  The tensor-splitting bound
+  adds the blocks' upper bounds wherever the free forms split by block
+  (the scalar-split rule), so products of factors with independent
+  scalars, such as disjoint lambda (x) lambda^T and the iterated products
+  B_q1 (x) ... (x) B_qk, close with no search and no pencil sample; when
+  the spans of all blocks add it is that sum outright, with no table.  The
   generators that no free form touches (a Laurent-polynomial factor) make
   one block, which the fold adds at its rank.  On shared lambda (x)
   lambda^T of rank 2n the fold runs first and certifies n, which no pencil
@@ -27,21 +29,24 @@ budget can therefore cost exactness but never correctness.
 
 The solver reads only the integer forms of the commutator pairing:
 ``dimension`` is the one place that sees the ``Pairing``, and the core,
-``_interval``, takes a tuple of forms.  A level's independent forms come
-from one fraction-free elimination over their upper-triangle coordinates
-(``_span_basis``).  The top level and every search level then take one
-step (``_level``): split off the common kernel of the forms, restrict them
-to a complement (``_restrict``; restriction to a complement of the common
-kernel is injective on their span, so they stay independent), and close
-the level when a count settles it: at most one form left (closed form), or
-forms spanning every alternating form on Q^m with m >= 3 (the wedge count
-leaves room for one vector above the radical).  Only the other levels are
-scanned, and each node of the budget is one candidate tried.  The
-tensor-splitting certificate solves each block by ``_interval`` on the
-forms sliced to its generators, and folds the block intervals, in one table
-over block bitmasks, only while the interval is still open; the two-factor
-bound is evaluated only where the spans of the forms do not add, and the
-table is built only where they do not add across all blocks.
+``_interval``, takes a tuple of forms.  Each ``dimension`` call builds one
+search object (``_Search``), the one reader of ``SolverOptions``: it holds
+the node budget and the search memo, and every block of the call shares
+it.  A level's independent forms come from one fraction-free elimination
+over their upper-triangle coordinates (``_span_basis``).  The top level
+and every search level then take one step (``_level``): split off the
+common kernel of the forms, restrict them to a complement (``_restrict``;
+restriction to a complement of the common kernel is injective on their
+span, so they stay independent), and close the level when a count settles
+it: at most one form left (closed form), or forms spanning every
+alternating form on Q^m with m >= 3 (the wedge count leaves room for one
+vector above the radical).  Only the other levels are scanned, and each
+node of the budget is one candidate tried.  The tensor-splitting
+certificate solves each block by ``_interval`` on the forms sliced to its
+generators, and folds the block intervals, in one table over block
+bitmasks, only while the interval is still open; the two-factor bound is
+evaluated only where the spans of the forms do not add, and the table is
+built only where they do not add across all blocks.
 
 Torsion scalars never change the answer: if a sublattice B is isotropic for
 the free forms, then m*B (same rank) is isotropic for the full pairing
@@ -60,6 +65,7 @@ chosen span, exact over Q.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -100,35 +106,6 @@ class SolverOptions:
     combo_samples: int = 64
     time_budget: float = 10.0
     node_budget: int = 20_000
-
-
-class _Budget:
-    """Deterministic node counter with a wall-clock safety valve.
-
-    The node budget is the primary limit so that identical inputs explore
-    identical search trees; the time budget only guards against pathological
-    instances.  One node is one search candidate tried.
-    """
-
-    def __init__(self, opts: SolverOptions):
-        self.nodes_left = opts.node_budget
-        self.deadline = time.monotonic() + opts.time_budget
-        self.exhausted = False
-
-    def spend(self) -> bool:
-        """Charge one node; True while the budget is not exhausted.
-
-        The node that brings ``nodes_left`` to 0 or below exhausts the
-        budget, as does a node charged past the deadline; nodes charged
-        after that change nothing.
-        """
-        if self.exhausted:
-            return False
-        self.nodes_left -= 1
-        if self.nodes_left <= 0 or time.monotonic() > self.deadline:
-            self.exhausted = True
-            return False
-        return True
 
 
 def _form_coords(M, n: int) -> list[int]:
@@ -232,7 +209,7 @@ def max_isotropic_single(M, n: int) -> list:
 # sound upper bounds
 
 
-def _combo_vectors(k: int, opts: SolverOptions):
+def _combo_vectors(k: int, combo_samples: int):
     """Deterministic stream of integer combination vectors for pencil bounds."""
     seen = set()
 
@@ -250,7 +227,7 @@ def _combo_vectors(k: int, opts: SolverOptions):
             count += 1
             yield c
     for signs in itertools.product((1, -1), repeat=k - 1):
-        if count >= opts.combo_samples:
+        if count >= combo_samples:
             return
         c = emit((1,) + signs)
         if c:
@@ -258,7 +235,7 @@ def _combo_vectors(k: int, opts: SolverOptions):
             yield c
     rng = random.Random(0)
     attempts = 0
-    while count < opts.combo_samples and attempts < 20 * opts.combo_samples:
+    while count < combo_samples and attempts < 20 * combo_samples:
         attempts += 1
         c = emit([rng.randint(-3, 3) for _ in range(k)])
         if c:
@@ -266,7 +243,7 @@ def _combo_vectors(k: int, opts: SolverOptions):
             yield c
 
 
-def _pencil_upper(forms: list, n: int, opts: SolverOptions, best: int, lower: int) -> int:
+def _pencil_upper(forms: list, n: int, combo_samples: int, best: int, lower: int) -> int:
     """Lower the upper bound ``best`` by single-form ranks of sampled integer combinations.
 
     A common isotropic sublattice is isotropic for every integer
@@ -278,7 +255,7 @@ def _pencil_upper(forms: list, n: int, opts: SolverOptions, best: int, lower: in
     though all were taken; after a fold that reached either, none is.
     """
     floor = max(lower, n - n // 2)
-    for c in _combo_vectors(len(forms), opts):
+    for c in _combo_vectors(len(forms), combo_samples):
         if best <= floor:
             break
         F = _combination(c, forms)
@@ -367,7 +344,7 @@ def _box_vectors(n: int, bound: int):
 _CHUNK = 128
 
 
-def _candidate_stream(forms: list, n: int, opts: SolverOptions):
+def _candidate_stream(forms: list, n: int, search_bound: int):
     """Structured seeds first, then boxed enumeration, in dimension-sorted chunks.
 
     Yields ``(v, rows, dim)``: ``rows`` are v M_1, ..., v M_k as lists of
@@ -405,7 +382,7 @@ def _candidate_stream(forms: list, n: int, opts: SolverOptions):
 
     yield from ranked(_structured_candidates(forms, n))
     chunk: list[tuple[int, ...]] = []
-    for v in _box_vectors(n, opts.search_bound):
+    for v in _box_vectors(n, search_bound):
         chunk.append(v)
         if len(chunk) >= _CHUNK:
             yield from ranked(chunk)
@@ -453,27 +430,55 @@ def _level(forms: list, n: int):
     return K, C, qforms, [*K, *matmul(W, C)]
 
 
-class _Searcher:
-    """Depth-first search for a maximum-rank common isotropic sublattice.
+class _Search:
+    """One ``dimension`` call's search: its options, node budget and memo.
 
-    Every maximal isotropic sublattice contains the common kernel of the
-    forms, so each level strips that kernel, restricts to a complement
-    (``_level``), and branches on the first vector of the remaining
-    witness; the chosen vector's orthogonal complement becomes the next
-    level's lattice.  Levels that ``_level`` closes are not scanned, so a
-    node of the budget is one candidate tried.  Candidates arrive ranked by
-    complement dimension alone, and a complement basis is built only for a
-    branch that can still beat the best rank found.  All coordinates are
-    exact, so witnesses survive unbounded entry growth even though each
-    level only enumerates small coordinate vectors.
+    ``dimension`` builds one per call, and every ``_interval`` of that call,
+    its blocks' included, takes it; it is the one reader of
+    ``SolverOptions``.  ``solve`` is a depth-first search for a
+    maximum-rank common isotropic sublattice.  Every maximal isotropic
+    sublattice contains the common kernel of the forms, so each level
+    strips that kernel, restricts to a complement (``_level``), and
+    branches on the first vector of the remaining witness; the chosen
+    vector's orthogonal complement becomes the next level's lattice.
+    Levels that ``_level`` closes are not scanned, so a node of the budget
+    is one candidate tried.  Candidates arrive ranked by complement
+    dimension alone, and a complement basis is built only for a branch that
+    can still beat the best rank found.  All coordinates are exact, so
+    witnesses survive unbounded entry growth even though each level only
+    enumerates small coordinate vectors.
+
+    The memo is keyed by ``(n, forms)``, which fixes the subproblem, so the
+    blocks of one call share it: where identical open blocks repeat, the
+    later ones reuse the first one's search.  The node budget is the
+    primary limit so that identical inputs explore identical search trees;
+    the time budget only guards against pathological instances.
     """
 
-    def __init__(self, opts: SolverOptions, budget: _Budget):
-        self.opts = opts
-        self.budget = budget
+    def __init__(self, opts: SolverOptions):
+        self.search_bound = opts.search_bound
+        self.combo_samples = opts.combo_samples
+        self.nodes_left = opts.node_budget
+        self.deadline = time.monotonic() + opts.time_budget
+        self.exhausted = False
         self.memo: dict = {}
 
-    def _solve(self, forms, n, target):
+    def spend(self) -> bool:
+        """Charge one node; True while the budget is not exhausted.
+
+        The node that brings ``nodes_left`` to 0 or below exhausts the
+        budget, as does a node charged past the deadline; nodes charged
+        after that change nothing.
+        """
+        if self.exhausted:
+            return False
+        self.nodes_left -= 1
+        if self.nodes_left <= 0 or time.monotonic() > self.deadline:
+            self.exhausted = True
+            return False
+        return True
+
+    def solve(self, forms, n, target):
         forms = _span_basis(forms, n)
         key = (n, tuple(forms))
         cached = self.memo.get(key)
@@ -489,11 +494,11 @@ class _Searcher:
         r0, mq = len(K), len(C)
         best_rank, best_rows = r0, K
         complete = True
-        for _, vrows, dim in _candidate_stream(qforms, mq, self.opts):
+        for _, vrows, dim in _candidate_stream(qforms, mq, self.search_bound):
             if best_rank >= target:
                 complete = False
                 break
-            if not self.budget.spend():
+            if not self.spend():
                 complete = False
                 break
             if r0 + dim <= best_rank:
@@ -502,12 +507,12 @@ class _Searcher:
             if len(comp) != dim:
                 raise AssertionError("complement rank differs from its ranked dimension")
             sforms = _restrict(comp, qforms)
-            sub_rank, sub_rows, sub_complete = self._solve(sforms, dim, target - r0)
+            sub_rank, sub_rows, sub_complete = self.solve(sforms, dim, target - r0)
             complete = complete and sub_complete
             if r0 + sub_rank > best_rank:
                 best_rank = r0 + sub_rank
                 best_rows = [*K, *matmul(matmul(sub_rows, comp), C)]
-        if self.budget.exhausted:
+        if self.exhausted:
             complete = False
         result = (best_rank, best_rows, complete)
         prev = self.memo.get(key)
@@ -574,6 +579,19 @@ def _pair_bound(lo1, hi1, r1, cf1, lo2, hi2, r2, cf2) -> int:
     return min(b, r1 + r2)
 
 
+def _block_spans(blocks: list):
+    """``(coords, dims, adds)`` of blocks ``(forms, lo, hi)``.
+
+    ``coords`` holds each block's forms as upper-triangle coordinates,
+    ``dims`` the dimension of each block's span, and ``adds`` whether the
+    spans of all blocks add: the rank of their stacked coordinates is the
+    sum of ``dims``.  That takes b + 1 rank computations for b blocks.
+    """
+    coords = [[_form_coords(F, len(F)) for F in forms] for forms, _, _ in blocks]
+    dims = [rank(x) for x in coords]
+    return coords, dims, rank([sum(rows, []) for rows in zip(*coords)]) == sum(dims)
+
+
 def _fold(blocks: list) -> int:
     """Upper bound for the tensor product of blocks ``(forms, lo, hi)``.
 
@@ -606,9 +624,10 @@ def _fold(blocks: list) -> int:
     B_q1 (x) ... (x) B_qk, make the spans add up, and so does a block that
     no form touches (``_components``).
 
-    Where the spans of all blocks add (the rank of their stacked
-    coordinates is the sum of the blocks' d), the fold is the sum of the
-    blocks' upper bounds, from b + 1 ranks and no table.  The spans then
+    Where the spans of all blocks add (``_block_spans``: the rank of their
+    stacked coordinates is the sum of the blocks' d), the fold is the sum
+    of the blocks' upper bounds, from b + 1 ranks and no table, and
+    ``_interval`` runs it before the pencil whatever b is.  The spans then
     add on every bipartition of every subset, since d(s1 u s2) <= d(s1) +
     d(s2) and each d(s) is at most the sum of its blocks' d; so every
     bipartition takes h1 + h2, and by induction on the subset's size each
@@ -617,9 +636,8 @@ def _fold(blocks: list) -> int:
     The sum of the blocks' lower bounds is certified by their joined
     witnesses, so a subset whose bound falls below it is a fault.
     """
-    coords = [[_form_coords(F, len(F)) for F in forms] for forms, _, _ in blocks]
-    dims = [rank(x) for x in coords]
-    if rank([sum(rows, []) for rows in zip(*coords)]) == sum(dims):
+    coords, dims, spans_add = _block_spans(blocks)
+    if spans_add:
         lo, hi = sum(b[1] for b in blocks), sum(b[2] for b in blocks)
         if hi < lo:
             raise AssertionError("split upper bound fell below the blocks' lower bounds")
@@ -652,7 +670,7 @@ def _fold(blocks: list) -> int:
 # the solver proper
 
 
-def _interval(forms, n: int, opts: SolverOptions, budget: _Budget):
+def _interval(forms, n: int, search: _Search):
     """Certified ``(lower, upper, rows)`` for the integer alternating ``forms`` on Z^n.
 
     ``rows`` span a sublattice of rank at least ``lower`` on which every
@@ -672,11 +690,17 @@ def _interval(forms, n: int, opts: SolverOptions, budget: _Budget):
       samples only while the bound is above every value a combination can
       give.
 
-    The fold runs before the pencil when 2^b <= ``combo_samples``, and
-    after it otherwise.  A bound is skipped only where it cannot go lower,
-    so the upper bound, and the search target upper - r0, are the minimum
-    of all three in either order.  The search runs last, and only while
-    the interval is open.
+    The fold runs before the pencil when 2^b <= ``combo_samples`` or when
+    the spans of all blocks add (``_block_spans``, b + 1 ranks), where it
+    is the sum of the block bounds with no table; otherwise it runs after
+    the pencil.  A bound is skipped only where it cannot go lower, so the
+    upper bound, and the search target upper - r0, are the minimum of all
+    three in either order.  The search runs last, and only while the
+    interval is open.  Every call on the blocks, and the search, takes the
+    call's one ``search``: they spend one node budget and share one memo.
+    The upper bound needs no cap at n: the wedge count is at most mq, so
+    the first bound is at most r0 + mq = n, and each later step takes a
+    minimum.
     """
     rad_rows, comp_rows, qforms, closed = _level(_span_basis(forms, n), n)
     if closed is not None:
@@ -690,31 +714,28 @@ def _interval(forms, n: int, opts: SolverOptions, budget: _Budget):
         joined = []
         for comp in comps:
             sliced = tuple(_sliced(F, comp) for F in forms)
-            lo, hi, block_rows = _interval(sliced, len(comp), opts, budget)
+            lo, hi, block_rows = _interval(sliced, len(comp), search)
             blocks.append((sliced, lo, hi))
-            for row in block_rows:
-                full = [0] * n
-                for col, val in zip(comp, row):
-                    full[col] = val
-                joined.append(full)
+            joined += matmul(block_rows, [[int(j == i) for j in range(n)] for i in comp])
         split_lower = sum(lo for _, lo, _ in blocks)
         if split_lower > lower:
             lower, rows = split_lower, joined
-    fold_first = 1 << len(blocks) <= opts.combo_samples
-    if blocks and fold_first and lower < upper:
+    fold_first = bool(blocks) and lower < upper and (
+        1 << len(blocks) <= search.combo_samples or _block_spans(blocks)[2]
+    )
+    if fold_first:
         upper = min(upper, _fold(blocks))
-    upper = r0 + _pencil_upper(qforms, mq, opts, upper - r0, lower - r0)
+    upper = r0 + _pencil_upper(qforms, mq, search.combo_samples, upper - r0, lower - r0)
     if blocks and not fold_first and lower < upper:
         upper = min(upper, _fold(blocks))
     if lower < upper:
-        found, rows_q, _ = _Searcher(opts, budget)._solve(qforms, mq, upper - r0)
+        found, rows_q, _ = search.solve(qforms, mq, upper - r0)
         if r0 + found > lower:
             lower = r0 + found
             rows = [*rad_rows, *matmul(rows_q, comp_rows)]
     if lower == 0:
         # Any single vector spans a commutative sublattice.
         lower, rows = 1, identity(n)[:1]
-    upper = min(upper, n)
     if lower > upper:
         raise AssertionError("certified lower bound exceeded the upper bound")
     return lower, upper, rows
@@ -727,10 +748,9 @@ def dimension(mat: MultiparameterMatrix, opts: SolverOptions | None = None) -> D
     the witness is rescaled by the torsion order once, here, if torsion
     residues keep it from commuting.
     """
-    opts = opts or SolverOptions()
     p = pairing_of(mat)
     n = p.rank
-    lower, upper, rows = _interval(p.free_forms, n, opts, _Budget(opts))
+    lower, upper, rows = _interval(p.free_forms, n, _Search(opts or SolverOptions()))
     witness = Sublattice.span(n, rows)
     if witness.rank < lower:
         raise AssertionError("witness rank fell short of the certified lower bound")
@@ -766,39 +786,31 @@ _BRUTE_MAX_CANDIDATES = 1_500
 _BYTE_SAFE = 127
 
 
-_CANDIDATE_CACHE: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-_COLUMN_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
+@functools.cache
 def _brute_candidates(n: int, bound: int) -> list[tuple[int, ...]]:
     """Canonical primitive vectors of the box; refuses more than the cap."""
-    key = (n, bound)
-    if key not in _CANDIDATE_CACHE:
-        cands = list(itertools.islice(_box_vectors(n, bound), _BRUTE_MAX_CANDIDATES + 1))
-        if len(cands) > _BRUTE_MAX_CANDIDATES:
-            raise ResourceLimitError(
-                f"brute force refused: rank {n} at bound {bound} has more than"
-                f" {_BRUTE_MAX_CANDIDATES} candidates"
-            )
-        _CANDIDATE_CACHE[key] = cands
-    return _CANDIDATE_CACHE[key]
+    cands = list(itertools.islice(_box_vectors(n, bound), _BRUTE_MAX_CANDIDATES + 1))
+    if len(cands) > _BRUTE_MAX_CANDIDATES:
+        raise ResourceLimitError(
+            f"brute force refused: rank {n} at bound {bound} has more than"
+            f" {_BRUTE_MAX_CANDIDATES} candidates"
+        )
+    return cands
 
 
+@functools.cache
 def _packed_columns(n: int, bound: int) -> tuple[int, ...]:
     """``col[t] = sum_j c_j[t] * 256^j`` over the candidates c_j, one per coordinate.
 
     Each is read from bytes c_j[t] + bound, which lie in [0, 2 * bound], less
     bound in every byte.
     """
-    key = (n, bound)
-    if key not in _COLUMN_CACHE:
-        cands = _brute_candidates(n, bound)
-        ones = int.from_bytes(b"\x01" * len(cands), "little")
-        _COLUMN_CACHE[key] = tuple(
-            int.from_bytes(bytes(c[t] + bound for c in cands), "little") - bound * ones
-            for t in range(n)
-        )
-    return _COLUMN_CACHE[key]
+    cands = _brute_candidates(n, bound)
+    ones = int.from_bytes(b"\x01" * len(cands), "little")
+    return tuple(
+        int.from_bytes(bytes(c[t] + bound for c in cands), "little") - bound * ones
+        for t in range(n)
+    )
 
 
 def _commutation_table(p: Pairing, bound: int) -> list[int]:

@@ -99,6 +99,27 @@ def test_parse_error_exit_code(tmp_path):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("dim", "{dir}"),
+        ("dim", "{undecodable}"),
+        ("generate", "--kind", "independent", "--rank", "2", "-o", "{dir}"),
+        ("tensor", "{ind3}", "{ind3}", "-o", "{dir}"),
+    ],
+    ids=["dim-directory", "dim-undecodable", "generate-to-directory", "tensor-to-directory"],
+)
+def test_unreadable_files_are_input_errors(ind3, tmp_path, args):
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    args = [a.format(dir=tmp_path, undecodable=undecodable, ind3=ind3) for a in args]
+    res = run_cli(*args)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.stderr
+
+
 def test_usage_error_exit_code():
     res = run_cli("definitely-not-a-command")
     assert res.returncode == 1

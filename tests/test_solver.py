@@ -33,7 +33,6 @@ from qtorus.solver import (
     InexactDimensionError,
     ResourceLimitError,
     SolverOptions,
-    _Budget,
     _brute_candidates,
     _candidate_stream,
     _commutation_table,
@@ -43,7 +42,7 @@ from qtorus.solver import (
     _interval,
     _level,
     _restrict,
-    _Searcher,
+    _Search,
     _sliced,
     _span_basis,
     brute_force_dimension,
@@ -469,9 +468,9 @@ def test_all_forms_level_charges_the_scan(n):
     assert closed == [C[0]]
     opts = SolverOptions(time_budget=1e6)
     for node_budget in (1, opts.node_budget):
-        budget = _Budget(replace(opts, node_budget=node_budget))
-        assert _Searcher(opts, budget)._solve(forms, n, n) == (1, closed, True)
-        assert (budget.nodes_left, budget.exhausted) == (node_budget, False)
+        search = _Search(replace(opts, node_budget=node_budget))
+        assert search.solve(forms, n, n) == (1, closed, True)
+        assert (search.nodes_left, search.exhausted) == (node_budget, False)
 
 
 def test_torsion_link_split_matches_oracle():
@@ -522,7 +521,7 @@ def split_blocks(forms, comps, opts):
     blocks = []
     for comp in comps:
         sliced = tuple(_sliced(F, comp) for F in forms)
-        lo, hi, _ = _interval(sliced, len(comp), opts, _Budget(opts))
+        lo, hi, _ = _interval(sliced, len(comp), _Search(opts))
         blocks.append((sliced, lo, hi))
     return blocks
 
@@ -786,7 +785,7 @@ def test_central_generators_are_one_block(c, monkeypatch):
 def test_disjoint_products_fold_by_scalar_split(t, monkeypatch):
     # Disjoint lambda_3^(x t): the spans of all t blocks add, so the fold is
     # the sum of their upper bounds and never calls the two-factor bound.
-    # It runs before the pencil for t <= 6 and after it from t = 7 on.
+    # It runs before the pencil for every t.
     calls = counting_pair_bound(monkeypatch)
     lam = gen_transpose_pair(3)[0]
     mat = lam
@@ -806,11 +805,9 @@ def iterated_product(k):
 
 
 def test_iterated_product_closes_without_pair_bound(monkeypatch):
-    # Up to six blocks the fold runs first, and as the spans of the k blocks
-    # add it is the sum of their upper bounds.  From seven blocks on the
-    # pencil runs first: the sum of the k forms is nondegenerate, which
-    # meets the joined block witnesses, so the fold does not run.  Either
-    # way the fold's table, and the two-factor bound, never run.
+    # The spans of the k blocks add, so the fold runs first, for every k,
+    # and it is the sum of their upper bounds: the fold's table, and the
+    # two-factor bound, never run.
     def refuse(*args):
         raise AssertionError("the two-factor bound ran on independent scalars")
 
@@ -859,16 +856,32 @@ def counting_pencil_samples(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "mode, n", [("shared", n) for n in range(2, 10)] + [("disjoint", n) for n in range(2, 6)]
+    "mode, n",
+    [("shared", n) for n in range(2, 10)]
+    + [("disjoint", n) for n in range(2, 6)]
+    + [("lambda3", t) for t in range(7, 12)]
+    + [("bq", k) for k in range(7, 13)],
 )
 def test_pencil_skips_where_the_fold_reached_its_floor(mode, n, monkeypatch):
     # lambda (x) lambda^T has two blocks, so the fold runs first.  Shared, it
     # certifies n on rank 2n, where no pencil sample can go lower; disjoint,
-    # it certifies 2, the joined block witnesses.  The pencil samples nothing.
+    # it certifies 2, the joined block witnesses.  Disjoint lambda_3^(x t)
+    # and B_q1 (x) ... (x) B_qk have more than six blocks, 2^b >
+    # combo_samples, but the spans of all blocks add, so the fold still runs
+    # first and meets the joined block witnesses.  The pencil samples nothing.
     calls = counting_pencil_samples(monkeypatch)
-    lam, lam_t = gen_transpose_pair(n)
-    res = dimension(tensor(lam, lam_t, mode))
-    truth = n if mode == "shared" else 2
+    if mode == "lambda3":
+        lam = gen_transpose_pair(3)[0]
+        mat = lam
+        for _ in range(n - 1):
+            mat = tensor(mat, lam, "disjoint")
+    elif mode == "bq":
+        mat = iterated_product(n)
+    else:
+        lam, lam_t = gen_transpose_pair(n)
+        mat = tensor(lam, lam_t, mode)
+    res = dimension(mat)
+    truth = 2 if mode == "disjoint" else n
     assert (res.lower, res.upper, res.exact) == (truth, truth, True)
     assert calls[0] == 0
 
@@ -909,6 +922,33 @@ def test_scalar_split_chain_with_open_middle_factor():
     assert (res.lower, res.upper, res.exact) == (4, 5, False)
 
 
+def test_repeated_open_block_reuses_the_first_search(monkeypatch):
+    # Disjoint mid (x) mid: its two blocks slice to the same open [2, 3]
+    # subproblem.  A call's one search shares its memo across blocks, so the
+    # second block's search is a memo hit: no candidate stream, no node.
+    streams, spent = [0], []
+    candidate_stream, interval = solver._candidate_stream, solver._interval
+
+    def counted(*args):
+        streams[0] += 1
+        return candidate_stream(*args)
+
+    def traced(forms, n, search):
+        streams_before, nodes_before = streams[0], search.nodes_left
+        result = interval(forms, n, search)
+        spent.append((streams[0] - streams_before, nodes_before - search.nodes_left))
+        return result
+
+    monkeypatch.setattr(solver, "_candidate_stream", counted)
+    monkeypatch.setattr(solver, "_interval", traced)
+    mid = gen_random(5, 3, seed=1, names=("a1", "a2", "a3"))
+    res = dimension(tensor(mid, mid, "disjoint"))
+    assert (res.lower, res.upper) == (4, 6)
+    first, second, _ = spent
+    assert first[0] >= 1 and first[1] >= 1
+    assert second == (0, 0)
+
+
 def _tick(state):
     """One node charged to a (nodes_left, exhausted) budget, the way the scan counts."""
     left, exhausted = state
@@ -921,7 +961,7 @@ def _tick(state):
 def test_budget_spend_matches_ticks():
     # spend() charges one node exactly as the plain count-down of ``_tick``.
     for nodes in range(6):
-        spent = _Budget(SolverOptions(node_budget=nodes, time_budget=1e6))
+        spent = _Search(SolverOptions(node_budget=nodes, time_budget=1e6))
         state = (nodes, False)
         for _ in range(nodes + 2):
             state, ok = _tick(state)
@@ -938,7 +978,7 @@ def test_candidate_stream_scores_complement_dimension(seed):
         for _ in range(rng.randint(2, 3))
     ]
     dims = []
-    for v, rows, dim in _candidate_stream(forms, n, SolverOptions(search_bound=1)):
+    for v, rows, dim in _candidate_stream(forms, n, 1):
         assert rows == [[sum(v[i] * M[i][j] for i in range(n)) for j in range(n)] for M in forms]
         comp, _ = kernel_with_complement(rows)
         assert dim == len(comp)
