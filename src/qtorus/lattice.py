@@ -26,8 +26,32 @@ def matmul(A, B) -> tuple[tuple[int, ...], ...]:
 
 
 def congruence(C, M) -> tuple[tuple[int, ...], ...]:
-    """C·M·Cᵀ: the bilinear form M in the coordinates given by the rows of C."""
-    return matmul(matmul(C, M), tuple(zip(*C)))
+    """C·M·Cᵀ: the form M in the coordinates given by the rows of C.
+
+    M must be alternating, or alternating mod some m.  C·M is computed
+    once, and of (C·M)·Cᵀ only the strict upper triangle, mirrored with
+    the opposite sign; the diagonal is zero.  Zero columns of M add nothing
+    to either product, so both run over the other columns only, and a zero
+    row of C·M leaves its row of the result zero.
+
+    For M alternating the result is exactly C·M·Cᵀ.  For T = M alternating
+    mod m it has the same residues mod m: the full product's diagonal is
+    Σ c_s² T_ss + Σ_{s<t} c_s c_t (T_st + T_ts) ≡ 0, and each off-diagonal
+    pair sums to Σ c_is c_jt (T_st + T_ts) ≡ 0, so mirroring and reducing
+    mod m gives the full product's residues.
+    """
+    m = len(C)
+    live = [(t, col) for t, col in enumerate(zip(*M)) if any(col)]
+    CM = [[sum(map(mul, row, col)) for _, col in live] for row in C]
+    Cl = C if len(live) == len(M) else [[row[t] for t, _ in live] for row in C]
+    R = [[0] * m for _ in range(m)]
+    for i, row in enumerate(CM):
+        if any(row):
+            for j in range(i + 1, m):
+                x = sum(map(mul, row, Cl[j]))
+                R[i][j] = x
+                R[j][i] = -x
+    return tuple(map(tuple, R))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -170,13 +170,14 @@ def pairing_of(mat: MultiparameterMatrix) -> Pairing:
 
 
 def is_commutative(pairing: Pairing, B: Sublattice) -> bool:
-    """Whether the pairing vanishes on the sublattice (generator pairs suffice)."""
-    rows = B.rows
-    for s in range(len(rows)):
-        for t in range(s + 1, len(rows)):
-            if not pairing.commutator(rows[s], rows[t]).is_identity():
-                return False
-    return True
+    """Whether the pairing vanishes on the sublattice: the restriction is zero.
+
+    Torsion residues included; a sublattice of rank below 2 always commutes.
+    """
+    if B.rank < 2 and B.ambient_rank == pairing.rank:
+        return True
+    r = restrict(pairing, B)
+    return not any(any(map(any, M)) for M in (*r.free_forms, r.torsion_form))
 
 
 def radical(pairing: Pairing) -> Sublattice:
@@ -203,6 +204,8 @@ def restrict(pairing: Pairing, B: Sublattice) -> Pairing:
     B is used exactly as given; callers restricting to finite-index
     sublattices do so deliberately and no saturation is applied.
     """
+    if B.ambient_rank != pairing.rank:
+        raise PairingError("sublattice ambient rank does not match the pairing rank")
     if B.rank < 1:
         raise PairingError("cannot restrict to a rank-0 sublattice")
     m = pairing.value_group.torsion_order
@@ -214,14 +217,12 @@ def restrict(pairing: Pairing, B: Sublattice) -> Pairing:
 
 def restrict_matrix(mat: MultiparameterMatrix, B: Sublattice) -> MultiparameterMatrix:
     """Multiparameter matrix of the subalgebra generated by a sublattice's rows."""
-    if B.rank < 1:
-        raise PairingError("cannot restrict to a rank-0 sublattice")
-    p = pairing_of(mat)
-    rows = B.rows
+    r = restrict(pairing_of(mat), B)
     upper = {}
-    for s in range(len(rows)):
-        for t in range(s + 1, len(rows)):
-            upper[(s + 1, t + 1)] = p.commutator(rows[s], rows[t])
+    for s in range(B.rank):
+        for t in range(s + 1, B.rank):
+            free = tuple(M[s][t] for M in r.free_forms)
+            upper[(s + 1, t + 1)] = GroupElement(mat.value_group, free, r.torsion_form[s][t])
     return MultiparameterMatrix.from_upper(B.rank, mat.value_group, upper)
 
 

@@ -35,7 +35,7 @@ the node budget and the search memo, and every block of the call shares
 it.  A level's independent forms come from one fraction-free elimination
 over their upper-triangle coordinates (``_span_basis``).  The top level
 and every search level then take one step (``_level``): split off the
-common kernel of the forms, restrict them to a complement (``_restrict``;
+common kernel of the forms, restrict them to a complement (``congruence``;
 restriction to a complement of the common kernel is injective on their
 span, so they stay independent), and close the level when a count settles
 it: at most one form left (closed form), or forms spanning every
@@ -75,6 +75,7 @@ from operator import mul
 
 from .lattice import (
     Sublattice,
+    congruence,
     identity,
     kernel,
     kernel_with_complement,
@@ -154,35 +155,6 @@ def _span_basis(forms, n: int) -> list:
     return kept
 
 
-def _restrict(C, forms) -> list:
-    """The alternating ``forms`` in the coordinates given by the rows of C.
-
-    Each equals ``congruence(C, M)``: C·M is computed once, and of
-    (C·M)·Cᵀ only the strict upper triangle, mirrored with the opposite
-    sign, since the restriction of an exactly alternating form is
-    alternating.  Zero columns of M add nothing to either product, so both
-    run over the other columns only, and a zero row of C·M leaves its row
-    of the result zero.  ``lattice.congruence`` stays the general routine,
-    as the torsion form that ``pairing.restrict`` restricts is alternating
-    only mod m.
-    """
-    m = len(C)
-    out = []
-    for M in forms:
-        live = [(t, col) for t, col in enumerate(zip(*M)) if any(col)]
-        CM = [[sum(map(mul, row, col)) for _, col in live] for row in C]
-        Cl = C if len(live) == len(M) else [[row[t] for t, _ in live] for row in C]
-        R = [[0] * m for _ in range(m)]
-        for i, row in enumerate(CM):
-            if any(row):
-                for j in range(i + 1, m):
-                    x = sum(map(mul, row, Cl[j]))
-                    R[i][j] = x
-                    R[j][i] = -x
-        out.append(tuple(map(tuple, R)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exact closed form for a single alternating form
 
@@ -199,7 +171,7 @@ def max_isotropic_single(M, n: int) -> list:
         return identity(n)
     i, j = pivot
     C, _ = kernel_with_complement([M[i], M[j]])
-    W = max_isotropic_single(_restrict(C, [M])[0], len(C))
+    W = max_isotropic_single(congruence(C, M), len(C))
     e_i = [0] * n
     e_i[i] = 1
     return [e_i, *matmul(W, C)]
@@ -397,7 +369,7 @@ def _level(forms: list, n: int):
     ``forms`` are independent (``_span_basis``).  Returns ``(K, C, qforms,
     closed)``: K spans the common kernel of the forms, C completes it to a
     basis of Z^n, and ``qforms`` are the restrictions of the forms to C
-    (``_restrict``).  They are independent with no second elimination:
+    (``congruence``).  They are independent with no second elimination:
     restriction to C is injective on the span of the forms, because a
     combination that vanishes on C x C also vanishes on K x Q^n and
     Q^n x K (every form kills K), hence on all of Q^n x Q^n = (K + C) x
@@ -419,7 +391,7 @@ def _level(forms: list, n: int):
     else:
         K, C = identity(n), []
     mq = len(C)
-    qforms = _restrict(C, forms)
+    qforms = [congruence(C, M) for M in forms]
     if len(qforms) > 1:
         if _wedge_upper(len(qforms), mq) == 1:
             return K, C, qforms, [*K, C[0]]
@@ -506,7 +478,7 @@ class _Search:
             comp, _ = kernel_with_complement(vrows)
             if len(comp) != dim:
                 raise AssertionError("complement rank differs from its ranked dimension")
-            sforms = _restrict(comp, qforms)
+            sforms = [congruence(comp, M) for M in qforms]
             sub_rank, sub_rows, sub_complete = self.solve(sforms, dim, target - r0)
             complete = complete and sub_complete
             if r0 + sub_rank > best_rank:

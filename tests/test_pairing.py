@@ -195,13 +195,57 @@ def test_restrict_to_commutative_witness_gives_zero():
 
 
 def test_restrict_matrix_matches_pairing_restrict():
-    mat = gen_random(3, 2, 1, 2, seed=9)
+    mat = gen_random(3, 2, 3, 2, seed=9)
     sub = Sublattice.span(3, [[1, 2, 0], [0, 1, 1]])
     rmat = restrict_matrix(mat, sub)
     assert rmat.rank == 2
     p = restrict(pairing_of(mat), sub)
     q = pairing_of(rmat)
     assert p.free_forms == q.free_forms
+    assert p.torsion_form == q.torsion_form
+    assert any(map(any, p.torsion_form))
+
+
+def test_wrong_ambient_rank_rejected():
+    mat = gen_random(3, 2, 3, 2, seed=9)
+    p = pairing_of(mat)
+    for n in (2, 4):
+        units = identity(n)
+        for sub in (Sublattice.span(n, units[:2]), Sublattice.span(n, units[:1])):
+            with pytest.raises(PairingError):
+                restrict(p, sub)
+            with pytest.raises(PairingError):
+                restrict_matrix(mat, sub)
+            with pytest.raises(PairingError):
+                is_commutative(p, sub)
+
+
+def test_restriction_matches_pairwise_commutators():
+    """``is_commutative`` and ``restrict_matrix`` agree with the pairwise definition."""
+    rng = random.Random(21)
+    verdicts = {True: 0, False: 0}
+    torsion_only = 0  # non-commuting through the torsion residues alone
+    for seed in range(300):
+        n = rng.randint(2, 6)
+        m = rng.choice((1, 2, 3, 6))
+        mat = gen_random(n, rng.randint(0, 2), m, 2, seed=seed)
+        p = pairing_of(mat)
+        scale = rng.choice((1, m))
+        gens = [[scale * rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        sub = Sublattice.span(n, gens)
+        if sub.rank == 0:
+            continue
+        rows = sub.rows
+        values = [p.commutator(rows[s], rows[t]) for s in range(len(rows)) for t in range(s)]
+        pairwise = all(v.is_identity() for v in values)
+        assert is_commutative(p, sub) == pairwise
+        verdicts[pairwise] += 1
+        torsion_only += not pairwise and not any(x for v in values for x in v.free)
+        rmat = restrict_matrix(mat, sub)
+        for s, a in enumerate(rows):
+            for t, b in enumerate(rows):
+                assert rmat.entry(s + 1, t + 1) == p.commutator(a, b)
+    assert verdicts[True] > 0 and verdicts[False] > 0 and torsion_only > 0
 
 
 @given(st.integers(0, 500))

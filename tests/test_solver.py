@@ -18,7 +18,7 @@ from qtorus.harness import (
     gen_random,
     gen_transpose_pair,
 )
-from qtorus.lattice import Sublattice, congruence, kernel_with_complement, rank
+from qtorus.lattice import Sublattice, congruence, kernel_with_complement, matmul, rank
 from qtorus.pairing import (
     MultiparameterMatrix,
     Pairing,
@@ -41,7 +41,6 @@ from qtorus.solver import (
     _form_coords,
     _interval,
     _level,
-    _restrict,
     _Search,
     _sliced,
     _span_basis,
@@ -177,7 +176,17 @@ def test_restrict_matches_congruence():
             for _ in range(rng.randint(0, 4))
         ]
         forms = [tuple(map(tuple, alternating(n, upper))) for upper in uppers]
-        assert _restrict(C, forms) == [congruence(C, M) for M in forms]
+        Ct = tuple(zip(*C))
+        for M in forms:
+            assert congruence(C, M) == matmul(matmul(C, M), Ct)
+        # a form alternating only mod m: its residues match the full product's
+        m = rng.randint(2, 6)
+        T = [
+            [a + m * rng.randint(-2, 2) for a in row]
+            for row in alternating(n, [rng.randint(0, m - 1) for _ in range(n * (n - 1) // 2)])
+        ]
+        mod = lambda R: [[x % m for x in row] for row in R]
+        assert mod(congruence(C, T)) == mod(matmul(matmul(C, T), Ct))
 
 
 # ---------------------------------------------------------------------------
