@@ -98,10 +98,16 @@ def gen_random(
     seed: int = 0,
     names: tuple[str, ...] | None = None,
 ) -> MultiparameterMatrix:
-    """Seeded random instance; identical arguments give identical output."""
+    """Seeded random instance; identical arguments give identical output.
+
+    ``names``, when given, names the k free scalars, one each.
+    """
     if n < 1 or k < 0 or m < 1:
         raise ValueError("need n >= 1, k >= 0, m >= 1")
-    names = names or tuple(f"q{l + 1}" for l in range(k))
+    if names is None:
+        names = tuple(f"q{l + 1}" for l in range(k))
+    elif len(names) != k:
+        raise ValueError(f"need one name per free scalar: {len(names)} names for k = {k}")
     group = ValueGroup(names, m)
     rng = random.Random(seed)
     upper = {}

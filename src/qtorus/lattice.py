@@ -1,5 +1,12 @@
 """Exact integer matrix algebra: Hermite forms, kernels, saturation, rank.
 
+Two kernel routines serve two needs.  ``kernel_with_complement`` builds a
+unimodular Hermite transform, so its kernel is saturated and its
+complement completes it to a basis of Z^cols; use it where saturation or
+a Z-complement matters.  ``annihilator`` builds no transform: its
+fraction-free rows span the kernel over Q only, which is all a rank over Q
+needs.
+
 A matrix is a sequence of rows of Python ints, so all arithmetic is
 arbitrary precision.  Normal-form intermediates grow quickly even for small
 matrices, which rules out fixed-width integer types.  Functions accept any
@@ -160,6 +167,49 @@ def rank(M) -> int:
         prev = p
         r += 1
     return r
+
+
+def annihilate(ann: list, vec) -> list | None:
+    """Annihilator rows of span + ``vec``; None when ``vec`` is in the span.
+
+    ``ann`` is an integer basis of the vectors orthogonal to a span S.  Since
+    S = ann(ann(S)) over Q, ``vec`` is dependent exactly when every row·vec
+    is 0.  Otherwise, with j the first row of nonzero product p, the rows
+    p·row_k - (row_k·vec)·row_j (k != j) are orthogonal to S and to vec, and
+    independent because each has the coefficient p on its own row_k: a basis
+    of ann(S + vec), one row shorter.  Each is divided by its content.  No
+    transform is built, and the rows span ann(S + vec) over Q only: they
+    need not be saturated.
+    """
+    for j, pivot in enumerate(ann):
+        p = sum(map(mul, pivot, vec))
+        if p:
+            break
+    else:
+        return None
+    grown = ann[:j]
+    for row in ann[j + 1 :]:
+        q = sum(map(mul, row, vec))
+        if q:
+            row = [p * x - q * y for x, y in zip(row, pivot)]
+            g = gcd(*row)
+            row = [x // g for x in row]
+        grown.append(row)
+    return grown
+
+
+def annihilator(rows, n: int) -> list[list[int]]:
+    """Integer rows spanning {a in Q^n : row·a = 0 for every row}, over Q.
+
+    ``annihilate`` folded over ``rows`` from the identity: n - rank(rows)
+    independent rows, no transform and no saturation.
+    """
+    ann = identity(n)
+    for row in rows:
+        grown = annihilate(ann, row)
+        if grown is not None:
+            ann = grown
+    return ann
 
 
 def kernel_with_complement(M) -> tuple[list[list[int]], list[list[int]]]:

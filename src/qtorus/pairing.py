@@ -173,11 +173,19 @@ def is_commutative(pairing: Pairing, B: Sublattice) -> bool:
     """Whether the pairing vanishes on the sublattice: the restriction is zero.
 
     Torsion residues included; a sublattice of rank below 2 always commutes.
+    Each form is restricted (``congruence``) and checked on its own, the
+    torsion form by its residues mod m, and the first nonzero one decides,
+    so no ``Pairing`` of the restricted forms is built or validated.
     """
-    if B.rank < 2 and B.ambient_rank == pairing.rank:
+    if B.ambient_rank != pairing.rank:
+        raise PairingError("sublattice ambient rank does not match the pairing rank")
+    if B.rank < 2:
         return True
-    r = restrict(pairing, B)
-    return not any(any(map(any, M)) for M in (*r.free_forms, r.torsion_form))
+    for M in pairing.free_forms:
+        if any(map(any, congruence(B.rows, M))):
+            return False
+    m = pairing.value_group.torsion_order
+    return not any(x % m for row in congruence(B.rows, pairing.torsion_form) for x in row)
 
 
 def radical(pairing: Pairing) -> Sublattice:

@@ -48,6 +48,16 @@ bitmasks, only while the interval is still open; the two-factor bound is
 evaluated only where the spans of the forms do not add, and the table is
 built only where they do not add across all blocks.
 
+The search works over Q.  The dimension is a rank over Q, isotropy is
+Q-linear and every count in ``_level`` is a Q-dimension, so a search node
+needs only a rational basis of a candidate's orthogonal complement:
+``lattice.annihilator`` gives one by fraction-free elimination, with no
+unimodular transform.  The Hermite transform (``kernel_with_complement``)
+serves only where a Z-complement matters, in ``_level`` and
+``max_isotropic_single``.  ``_interval`` saturates a search witness once,
+where it adopts it, so its integer rows depend only on the rational plane
+found (see ``_Search``).
+
 Torsion scalars never change the answer: if a sublattice B is isotropic for
 the free forms, then m*B (same rank) is isotropic for the full pairing
 because every torsion residue is multiplied by m^2.  The supremum of
@@ -60,7 +70,7 @@ runtime dependency.  The brute-force oracle caps its candidate count, then
 builds each row of its commutation table as a Python-int bitset from
 byte-packed big-int products (``_commutation_table``); its search pools are
 int masks, and its independence test keeps integer annihilator rows of the
-chosen span, exact over Q.
+chosen span, exact over Q, by the search's own step ``lattice.annihilate``.
 """
 
 from __future__ import annotations
@@ -75,13 +85,15 @@ from operator import mul
 
 from .lattice import (
     Sublattice,
+    annihilate,
+    annihilator,
     congruence,
     identity,
-    kernel,
     kernel_with_complement,
     matmul,
     primitive,
     rank,
+    saturate,
     skew_rank,
 )
 from .pairing import (
@@ -103,10 +115,22 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Search limits.
+
+    A negative ``search_bound``, ``combo_samples`` or ``node_budget`` is a
+    ``ValueError``, as it is at the command line.
+    """
+
     search_bound: int = 2
     combo_samples: int = 64
     time_budget: float = 10.0
     node_budget: int = 20_000
+
+    def __post_init__(self):
+        for name in ("search_bound", "combo_samples", "node_budget"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def _form_coords(M, n: int) -> list[int]:
@@ -270,10 +294,10 @@ def _structured_candidates(forms: list, n: int) -> list[tuple[int, ...]]:
                 out.append(p)
 
     for M in forms:
-        add_rows(kernel(M).rows)
+        add_rows(annihilator(M, n))
     if len(forms) > 1:
-        add_rows(kernel(_combination([1] * len(forms), forms)).rows)
-        add_rows(kernel(_combination([(-1) ** idx for idx in range(len(forms))], forms)).rows)
+        add_rows(annihilator(_combination([1] * len(forms), forms), n))
+        add_rows(annihilator(_combination([(-1) ** idx for idx in range(len(forms))], forms), n))
     return out
 
 
@@ -420,6 +444,23 @@ class _Search:
     witnesses survive unbounded entry growth even though each level only
     enumerates small coordinate vectors.
 
+    A branch's complement is a Q-basis of v^perp (``annihilator`` of the
+    rows v M_l), not a Z-basis: it spans a sublattice of finite index in
+    the integer vectors orthogonal to v.  That is sound because:
+
+    * isotropy is Q-linear, so a sublattice is isotropic exactly when its
+      rational span is;
+    * every count in ``_level`` (skew rank, wedge count, radical rank) is a
+      Q-dimension, so a level's closed value and its bounds do not depend
+      on the lattice chosen inside its rational space;
+    * ``_interval`` replaces the search's rows by their saturation, which
+      has the same rational span, so it stays isotropic under the free
+      forms and keeps its rank;
+    * ``len(comp) == dim`` is asserted against the candidate stream's
+      Bareiss rank, so every branch has the dimension it was ranked by;
+    * ``dimension`` still checks the joined witness once, and rescales it by
+      the torsion order when torsion residues keep it from commuting.
+
     The memo is keyed by ``(n, forms)``, which fixes the subproblem, so the
     blocks of one call share it: where identical open blocks repeat, the
     later ones reuse the first one's search.  The node budget is the
@@ -475,7 +516,7 @@ class _Search:
                 break
             if r0 + dim <= best_rank:
                 continue
-            comp, _ = kernel_with_complement(vrows)
+            comp = annihilator(vrows, mq)
             if len(comp) != dim:
                 raise AssertionError("complement rank differs from its ranked dimension")
             sforms = [congruence(comp, M) for M in qforms]
@@ -670,9 +711,10 @@ def _interval(forms, n: int, search: _Search):
     three in either order.  The search runs last, and only while the
     interval is open.  Every call on the blocks, and the search, takes the
     call's one ``search``: they spend one node budget and share one memo.
-    The upper bound needs no cap at n: the wedge count is at most mq, so
-    the first bound is at most r0 + mq = n, and each later step takes a
-    minimum.
+    The search's rows span their plane over Q only, so they are saturated
+    once, here, where they are adopted.  The upper bound needs no cap at n:
+    the wedge count is at most mq, so the first bound is at most r0 + mq =
+    n, and each later step takes a minimum.
     """
     rad_rows, comp_rows, qforms, closed = _level(_span_basis(forms, n), n)
     if closed is not None:
@@ -704,7 +746,7 @@ def _interval(forms, n: int, search: _Search):
         found, rows_q, _ = search.solve(qforms, mq, upper - r0)
         if r0 + found > lower:
             lower = r0 + found
-            rows = [*rad_rows, *matmul(rows_q, comp_rows)]
+            rows = saturate(Sublattice.span(n, [*rad_rows, *matmul(rows_q, comp_rows)])).rows
     if lower == 0:
         # Any single vector spans a commutative sublattice.
         lower, rows = 1, identity(n)[:1]
@@ -842,33 +884,6 @@ def _commutation_table(p: Pairing, bound: int) -> list[int]:
     return compat
 
 
-def _annihilate(ann: list, vec) -> list | None:
-    """Annihilator rows of span + ``vec``; None when ``vec`` is in the span.
-
-    ``ann`` is an integer basis of the vectors orthogonal to a span S.  Since
-    S = ann(ann(S)) over Q, ``vec`` is dependent exactly when every row·vec
-    is 0.  Otherwise, with j the first row of nonzero product p, the rows
-    p·row_k - (row_k·vec)·row_j (k != j) are orthogonal to S and to vec, and
-    independent because each has the coefficient p on its own row_k: a basis
-    of ann(S + vec), one row shorter.  Each is divided by its content.
-    """
-    for j, pivot in enumerate(ann):
-        p = sum(map(mul, pivot, vec))
-        if p:
-            break
-    else:
-        return None
-    grown = ann[:j]
-    for row in ann[j + 1 :]:
-        q = sum(map(mul, row, vec))
-        if q:
-            row = [p * x - q * y for x, y in zip(row, pivot)]
-            g = gcd(*row)
-            row = [x // g for x in row]
-        grown.append(row)
-    return grown
-
-
 def _bits(mask: int):
     """Indices of the set bits of ``mask``, ascending."""
     while mask:
@@ -885,9 +900,10 @@ def brute_force_dimension(
     Enumerates canonical primitive vectors with entries in
     [-entry_bound, entry_bound] and maximizes the cardinality of linearly
     independent sets on which the full pairing (torsion included) vanishes.
-    It shares two things with the interval solver: the pairing definition,
-    and the candidate vectors, which ``_box_vectors`` enumerates for both;
-    no radical, complement, ranking or certificate of the solver is used.
+    It shares three things with the interval solver: the pairing
+    definition, the candidate vectors, which ``_box_vectors`` enumerates for
+    both, and the annihilator step ``annihilate``; no radical, complement,
+    ranking or certificate of the solver is used.
 
     Bitset layout: ``_commutation_table`` builds the N x N commutation table
     as one Python-int bitset per candidate, so bit j of ``compat[i]`` is set
@@ -896,7 +912,7 @@ def brute_force_dimension(
     cleared, and i is compatible with the whole pool when
     ``compat[i] & mask == mask``.  Linear independence over Q is decided
     exactly, with no modular step, against integer annihilator rows of the
-    chosen span (``_annihilate``), which start as the identity.
+    chosen span (``annihilate``), which start as the identity.
 
     Refuses oversized inputs (rank, entry bound, or more than
     ``_BRUTE_MAX_CANDIDATES`` candidates), and with ``node_limit`` set also
@@ -943,7 +959,7 @@ def brute_force_dimension(
         universal = [i for i in pool if compat[i] & mask == mask]
         if universal:
             for i in universal:
-                grown = _annihilate(ann, cands[i])
+                grown = annihilate(ann, cands[i])
                 if grown is not None:
                     ann = grown
                     depth += 1
@@ -962,7 +978,7 @@ def brute_force_dimension(
         for i in pool:
             if reach > best:
                 break
-            grown = _annihilate(rows, cands[i])
+            grown = annihilate(rows, cands[i])
             if grown is not None:
                 rows = grown
                 reach += 1
@@ -971,9 +987,9 @@ def brute_force_dimension(
         for pos, i in enumerate(pool):
             if depth + len(pool) - pos <= best:
                 break
-            grown = _annihilate(ann, cands[i])
+            grown = annihilate(ann, cands[i])
             if grown is not None:
                 extend(depth + 1, grown, (mask & compat[i]) >> (i + 1) << (i + 1))
 
-    extend(0, [[int(i == j) for j in range(n)] for i in range(n)], (1 << N) - 1)
+    extend(0, identity(n), (1 << N) - 1)
     return best

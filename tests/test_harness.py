@@ -75,6 +75,14 @@ def test_gen_random_determinism_and_invariants():
     assert flat.is_commutative_matrix()
 
 
+def test_gen_random_takes_one_name_per_scalar():
+    mat = gen_random(3, 2, seed=1, names=("a", "b"))
+    assert mat.value_group.free_names == ("a", "b")
+    for names in (("a", "b"), ("a",), ("a", "b", "c", "d")):
+        with pytest.raises(ValueError, match="one name per free scalar"):
+            gen_random(3, 3, seed=1, names=names)
+
+
 def test_superadditivity_trivial_and_transpose():
     c2, c3 = gen_commutative(2), gen_commutative(3)
     v = check_superadditivity(c2, c3)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from qtorus.lattice import (
     Sublattice,
+    annihilator,
     hnf,
     identity,
     is_alternating,
@@ -186,6 +188,33 @@ def test_kernel_contract(rows):
     assert K.rank + rank(rows) == len(rows[0])
     # saturation: the kernel basis extends to a basis of the ambient lattice
     assert saturate(K) == K
+
+
+def _check_annihilator(M, n):
+    ann = annihilator(M, n)
+    assert all(sum(a * b for a, b in zip(r, row)) == 0 for r in M for row in ann)
+    assert rank(ann) == len(ann) == n - rank(M)
+    K = kernel(M)
+    assert (saturate(Sublattice.span(n, ann)) if ann else Sublattice(n)) == K
+    return ann
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_annihilator_spans_the_rational_kernel(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+    M.insert(rng.randrange(len(M) + 1), [0] * n)
+    M.insert(rng.randrange(len(M) + 1), list(M[rng.randrange(len(M))]))
+    _check_annihilator(M, n)
+    # completed by the unit vectors, the input has full rank and no annihilator
+    assert _check_annihilator(M + identity(n), n) == []
+
+
+def test_annihilator_examples():
+    assert annihilator([[0, 0, 0]], 3) == identity(3)
+    assert annihilator([[1, 1], [2, 2]], 2) == [[-1, 1]]
+    assert annihilator([[2, 1], [1, 1]], 2) == []
 
 
 def test_saturate_examples():

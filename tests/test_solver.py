@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from dataclasses import replace
 from math import gcd
 
@@ -18,7 +19,8 @@ from qtorus.harness import (
     gen_random,
     gen_transpose_pair,
 )
-from qtorus.lattice import Sublattice, congruence, kernel_with_complement, matmul, rank
+from qtorus import lattice
+from qtorus.lattice import Sublattice, congruence, kernel_with_complement, matmul, rank, saturate
 from qtorus.pairing import (
     MultiparameterMatrix,
     Pairing,
@@ -385,7 +387,7 @@ GOLDEN = {
         "lower": 2,
         "upper": 3,
         "exact": False,
-        "witness": [[2, 3, 48, 58, 1], [0, 4, 48, 59, 1]],
+        "witness": [[2, 3, 0, 4, 7], [0, 4, 0, 5, 7]],
     },
     ("random", 5, 2): {
         "lower": 2,
@@ -397,14 +399,14 @@ GOLDEN = {
         "lower": 2,
         "upper": 3,
         "exact": False,
-        "witness": [[2, 2, 4, 6, 0, -1], [0, 2091, -23837, 5854, -1, 12964]],
+        "witness": [[2, 2, 4, 6, 0, -1], [0, 35, -319, -62, -200, 177]],
     },
     # the free-form witness is rescaled by the torsion order 3
     ("rescaled", 4, 3): {
         "lower": 2,
         "upper": 2,
         "exact": True,
-        "witness": [[3, -3, 0, 0], [0, 0, 3, 0]],
+        "witness": [[3, 3, 3, -3], [0, 6, 6, -3]],
     },
     # a nonzero common radical, with two forms left after restricting to its complement
     ("radical", 4, 1): {
@@ -965,6 +967,45 @@ def _tick(state):
         return state, False
     left -= 1
     return (left, left <= 0), left > 0
+
+
+@pytest.mark.parametrize("field", ["search_bound", "combo_samples", "node_budget"])
+def test_solver_options_reject_negative_limits(field):
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: -1})
+    assert getattr(SolverOptions(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_search_witnesses_are_saturated(k, n):
+    # the search spans its planes over Q only; ``_interval`` saturates what it adopts
+    opts = SolverOptions(node_budget=2000, time_budget=1e6)
+    for seed in range(6):
+        w = dimension(gen_random(n, k, seed=seed), opts).witness
+        assert saturate(w) == w
+
+
+def test_search_builds_no_hermite_transform_per_candidate(monkeypatch):
+    # a node's complement and the structured seeds come from ``annihilator``; the
+    # Hermite transform serves only where a Z-complement matters
+    callers = []
+    original = lattice.kernel_with_complement
+
+    def traced(M):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] != solver.__name__:
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return original(M)
+
+    monkeypatch.setattr(lattice, "kernel_with_complement", traced)
+    monkeypatch.setattr(solver, "kernel_with_complement", traced)
+    search = _Search(SolverOptions(node_budget=500, time_budget=1e6))
+    _interval(pairing_of(gen_random(6, 3, seed=1)).free_forms, 6, search)
+    assert search.nodes_left < 500
+    assert "_level" in callers
+    assert not {"solve", "_structured_candidates"} & set(callers)
 
 
 def test_budget_spend_matches_ticks():
