@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 from .lattice import Sublattice, congruence, is_alternating, kernel
 from .valuegroup import GroupElement, ValueGroup, ValueGroupError, embed, merge
@@ -51,11 +51,14 @@ class MultiparameterMatrix:
                 e = self.entries[i][j]
                 if e.group != self.value_group:
                     raise PairingError("entry belongs to a different value group")
+        # The loop above put every entry in this group: one free length, residues mod m.
+        m = self.value_group.torsion_order
         for i in range(n):
             if not self.entries[i][i].is_identity():
                 raise PairingError(f"diagonal entry ({i + 1},{i + 1}) must be the identity")
             for j in range(i + 1, n):
-                if not (self.entries[i][j] + self.entries[j][i]).is_identity():
+                a, b = self.entries[i][j], self.entries[j][i]
+                if (a.torsion + b.torsion) % m or any(map(add, a.free, b.free)):
                     raise PairingError(
                         f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) are not inverse"
                     )
@@ -104,14 +107,24 @@ def tensor(
         raise PairingError(str(exc)) from exc
     n1, n2 = m1.rank, m2.rank
     ident = _shared(group.identity())
-    grid = [[ident for _ in range(n1 + n2)] for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            grid[i][j] = _shared(embed(m1.entries[i][j], group, emb1))
-    for i in range(n2):
-        for j in range(n2):
-            grid[n1 + i][n1 + j] = _shared(embed(m2.entries[i][j], group, emb2))
+    grid = [[ident] * (n1 + n2) for _ in range(n1 + n2)]
+    for i, row in enumerate(_placed(m1, group, emb1)):
+        grid[i][:n1] = row
+    for i, row in enumerate(_placed(m2, group, emb2)):
+        grid[n1 + i][n1:] = row
     return MultiparameterMatrix(n1 + n2, group, tuple(tuple(r) for r in grid))
+
+
+def _placed(mat: MultiparameterMatrix, group: ValueGroup, emb: tuple[int, ...]):
+    """The entry rows of a tensor factor, as elements of the merged group.
+
+    When the factor's group already is the merged group and its embedding
+    is the identity (shared mode over the same scalars), the entries are
+    taken as they are; otherwise each is embedded and pooled.
+    """
+    if mat.value_group == group and emb == tuple(range(group.free_rank)):
+        return mat.entries
+    return [[_shared(embed(e, group, emb)) for e in row] for row in mat.entries]
 
 
 @dataclass(frozen=True)

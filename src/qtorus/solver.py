@@ -827,6 +827,14 @@ def _packed_columns(n: int, bound: int) -> tuple[int, ...]:
     )
 
 
+@functools.cache
+def _translate_table(mod: int) -> bytes:
+    """Byte b to ``1`` when b - 128 is 0 (``mod`` 0) or 0 mod ``mod``, else ``0``."""
+    return bytes(
+        ord("1") if ((b - 128) % mod == 0 if mod else b == 128) else ord("0") for b in range(256)
+    )
+
+
 def _commutation_table(p: Pairing, bound: int) -> list[int]:
     """Bitset rows of the commutation table over ``_brute_candidates(p.rank, bound)``.
 
@@ -849,7 +857,8 @@ def _commutation_table(p: Pairing, bound: int) -> list[int]:
     which the guard keeps at most ``_BYTE_SAFE`` = 127 for every checked
     form.  ``translate`` then sends byte 128 to ``1`` for a free form, and a
     byte b to ``1`` when (b - 128) % m == 0 for the torsion form; reversed,
-    the bytes read as a base-2 int whose bit j is candidate j's answer.
+    the bytes read as a base-2 int whose bit j is candidate j's answer.  The
+    translate tables are built once per modulus (``_translate_table``).
     Inputs past the guard are compared pair by pair with
     ``Pairing.commutator``.
     """
@@ -873,10 +882,7 @@ def _commutation_table(p: Pairing, bound: int) -> list[int]:
     base = int.from_bytes(b"\x80" * N, "little")
     compat = [(1 << N) - 1] * N
     for M, mod in checked:
-        table = bytes(
-            ord("1") if ((b - 128) % mod == 0 if mod else b == 128) else ord("0")
-            for b in range(256)
-        )
+        table = _translate_table(mod)
         G = [sum(f * col for f, col in zip(row, cols) if f) for row in M]
         for i, c in enumerate(cands):
             D = base + sum(x * g for x, g in zip(c, G) if x)
@@ -963,6 +969,9 @@ def brute_force_dimension(
                 if grown is not None:
                     ann = grown
                     depth += 1
+                    if depth == n:
+                        best = n
+                        return
                 mask ^= 1 << i
             pool = [i for i in pool if mask >> i & 1]
             if depth > best:

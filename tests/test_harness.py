@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qtorus import harness
 from qtorus.harness import (
     CampaignConfig,
     PairAnalysis,
@@ -187,6 +188,27 @@ def test_campaign_oracle_is_exercised():
     rep = run_campaign(CampaignConfig(trials=15, seed=2))
     assert rep.oracle_checked + rep.oracle_skipped == 15
     assert rep.oracle_checked > 0
+
+
+def test_campaign_takes_no_oracle_where_upper_is_the_rank(monkeypatch):
+    # Commutative factors: every product's certified upper bound is its rank,
+    # and the oracle, a count of independent vectors, cannot exceed it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called on a trial whose upper bound is the rank")
+
+    monkeypatch.setattr(harness, "brute_force_dimension", refuse)
+    rep = run_campaign(CampaignConfig(trials=30, seed=1, max_free=0))
+    assert (rep.oracle_checked, rep.oracle_skipped) == (30, 0)
+    assert rep.total_violations == 0
+    held = {s: t["holds"] for s, t in rep.tallies.items() if t["holds"]}
+    assert held == {
+        "Superadditivity": 30,
+        "WeakUpperBound": 30,
+        "AdditivityCodimLE1": 26,
+        "WeylAnalogue": 4,
+    }
+    assert rep.tallies["StrictUpperBound"]["inconclusive"] == 30
+    assert sum(t["violated"] + t["inconclusive"] for t in rep.tallies.values()) == 30
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,23 @@ def test_validation_rejects_bad_matrices():
         MultiparameterMatrix(2, g, ((ident, q), (q, ident)))  # not antisymmetric
 
 
+def test_validation_checks_free_and_torsion_parts_apart():
+    inverse = "entries \\(1,2\\) and \\(2,1\\) are not inverse"
+    g3 = ValueGroup(("q",), 3)
+    t1 = g3.element((0,), 1)
+    ident = g3.identity()
+    with pytest.raises(PairingError, match=inverse):  # residues 1 + 1 = 2 mod 3
+        MultiparameterMatrix(2, g3, ((ident, t1), (t1, ident)))
+    # the torsion cancels (1 + 2 = 0 mod 3), the free parts do not
+    a = g3.element((1,), 1)
+    with pytest.raises(PairingError, match=inverse):
+        MultiparameterMatrix(2, g3, ((ident, a), (g3.element((1,), 2), ident)))
+    MultiparameterMatrix(2, g3, ((ident, a), (g3.element((-1,), 2), ident)))
+    other = ValueGroup(("p",), 3)
+    with pytest.raises(PairingError, match="entry belongs to a different value group"):
+        MultiparameterMatrix(2, g3, ((ident, t1), (other.element((0,), 2), ident)))
+
+
 def test_pairing_of_bq():
     p = pairing_of(bq())
     assert p.free_forms[0] == ((0, 1), (-1, 0))
@@ -144,6 +161,38 @@ def test_tensor_disjoint_renames():
     assert t.value_group.free_names == ("q", "q'")
     assert t.entry(1, 2).free == (1, 0)
     assert t.entry(3, 4).free == (0, 1)
+
+
+def _block_reference(group, n1, n2, upper1, upper2):
+    """The tensor of two factors, from its upper entries over the merged group."""
+    upper = dict(upper1)
+    upper.update({(n1 + i, n1 + j): e for (i, j), e in upper2.items()})
+    return MultiparameterMatrix.from_upper(n1 + n2, group, upper)
+
+
+def test_shared_tensor_embeds_permuted_scalars():
+    # The second factor names the same scalars in another order, so its
+    # entries must be embedded into the merged group, not taken as they are.
+    g_ab, g_ba = ValueGroup(("a", "b"), 1), ValueGroup(("b", "a"), 1)
+    upper1 = {(1, 2): g_ab.element((1, 2)), (1, 3): g_ab.element((0, -1))}
+    m1 = MultiparameterMatrix.from_upper(3, g_ab, upper1)
+    m2 = MultiparameterMatrix.from_upper(2, g_ba, {(1, 2): g_ba.element((1, -2))})
+    t = tensor(m1, m2, "shared")
+    assert t.value_group == g_ab
+    assert t == _block_reference(g_ab, 3, 2, upper1, {(1, 2): g_ab.element((-2, 1))})
+
+
+def test_shared_tensor_embeds_into_the_larger_torsion():
+    g1, g3 = ValueGroup(("q",), 1), ValueGroup(("q",), 3)
+    upper3 = {(1, 2): g3.element((1,), 1), (2, 3): g3.element((0,), 2)}
+    m1 = MultiparameterMatrix.from_upper(2, g1, {(1, 2): g1.element((2,))})
+    m3 = MultiparameterMatrix.from_upper(3, g3, upper3)
+    # m1's residues scale by 3 / 1: they stay 0 in the merged group of torsion 3
+    upper1 = {(1, 2): g3.element((2,))}
+    t = tensor(m1, m3, "shared")
+    assert t.value_group == g3
+    assert t == _block_reference(g3, 2, 3, upper1, upper3)
+    assert tensor(m3, m1, "shared") == _block_reference(g3, 3, 2, upper3, upper1)
 
 
 def test_tensor_incompatible_torsion_rejected():

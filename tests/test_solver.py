@@ -1078,6 +1078,22 @@ def test_brute_rejects_negative_entry_bound():
     assert brute_force_dimension(gen_commutative(3), 1) == 3
 
 
+def test_brute_greedy_step_stops_at_full_rank(monkeypatch):
+    # Every candidate of a commutative matrix is compatible with the whole
+    # pool; the greedy step has nothing left to test once the chosen span
+    # is all of Q^6, so it tests 6 of the 364 candidates, not all of them.
+    calls = 0
+
+    def counted(ann, vec):
+        nonlocal calls
+        calls += 1
+        return lattice.annihilate(ann, vec)
+
+    monkeypatch.setattr(solver, "annihilate", counted)
+    assert brute_force_dimension(gen_commutative(6), 1) == 6
+    assert calls == 6
+
+
 # (instance, entry bound, oracle value, search nodes), pinned from the
 # echelon-based oracle the bitset search replaced.  Campaign products are
 # the shared tensors of harness._trial_pair(CampaignConfig(seed, torsion),
